@@ -16,6 +16,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
+from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, perm_rep
 from .permgroups import MarkedGroup
 from .polytopes import Polytope, intersection_condition, polytope_from_group
@@ -186,22 +187,25 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS, stretch: bool = False,
     Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; by
     default they are reported as exceeded-limit without burning the full coset
     budget.  With stretch=True case 20 is enumerated over its facet subgroup
-    (see `stretch_case20`).
+    (see `build_universal_over_facet`).  Case 22 is reported as by default
+    even then: its facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over
+    the stretch budget, and it is the dual of case 20.
     """
     out: dict[int, UniversalResult] = {}
     for case in TABLE1:
         spec = case.amalgam()
-        if case.number in LARGE_CASES and skip_large and not stretch:
+        if case.number == 20 and stretch:
+            out[case.number] = build_universal_over_facet(
+                case, max_cosets=max(max_cosets, STRETCH_MAX_COSETS))
+        elif case.number in LARGE_CASES and skip_large:
             out[case.number] = UniversalResult(spec, EXCEEDED, cosets_defined=0)
-            continue
-        if case.number in LARGE_CASES and stretch:
-            out[case.number] = stretch_case20(case, max_cosets=max(max_cosets, 6 * 10**6))
-            continue
-        out[case.number] = build_universal(spec, max_cosets=max_cosets)
+        else:
+            out[case.number] = build_universal(spec, max_cosets=max_cosets)
     return out
 
 
-def build_universal_over_facet(case: CaseSpec, max_cosets: int = 6 * 10**6) -> UniversalResult:
+def build_universal_over_facet(case: CaseSpec,
+                               max_cosets: int = STRETCH_MAX_COSETS) -> UniversalResult:
     """Enumerate a large case over its facet subgroup (cosets = facets).
 
     The group order is index times the facet group order.  That needs the
@@ -241,10 +245,6 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int = 6 * 10**6) -> U
         return res
     res.order_reconstructed = table.n_cosets * facet_group.order
     return res
-
-
-# kept as the name of the stretch goal it serves
-stretch_case20 = build_universal_over_facet
 
 
 def _element_words(g: MarkedGroup) -> list[tuple[int, ...]]:
@@ -332,7 +332,3 @@ def twisted_over(entry: CatalogEntry) -> MarkedGroup:
             bitperm |= ((xs >> b) & 1) << vp[b]
         gens.append(np.concatenate([bitperm, nbits + np.asarray(g.perm_of(gid))]).astype(np.int32))
     return MarkedGroup(d, gens)
-
-
-def twisted_2H(entry: CatalogEntry) -> MarkedGroup:
-    return twisted_over(entry)

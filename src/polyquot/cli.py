@@ -20,7 +20,7 @@ from .permgroups import BoundExceeded
 from .polytopes import flag_graph_dot, hasse_dot, polytope_json
 from .presentations import format_presentation
 from .quotients import classify_quotients, quotient_lattice_dot
-from .verify import Workspace, run_criteria
+from .verify import EXPECTED_QUOTIENTS, Workspace, run_criteria
 
 
 class UsageError(Exception):
@@ -41,16 +41,15 @@ def _add_common(p):
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig(stretch=getattr(args, "stretch", False),
-                    output_format=getattr(args, "format", "text"),
-                    output_path=getattr(args, "output_path", None))
-    if getattr(args, "max_cosets", None):
-        cfg.max_cosets = args.max_cosets
-        if cfg.stretch:
-            cfg.max_cosets = max(cfg.max_cosets, 6 * 10**6)
-    if getattr(args, "subgroup_bound", None):
-        cfg.subgroup_order_bound = args.subgroup_bound
-    return cfg
+    bounds = {"max_cosets": getattr(args, "max_cosets", None),
+              "subgroup_order_bound": getattr(args, "subgroup_bound", None)}
+    try:
+        return RunConfig(stretch=getattr(args, "stretch", False),
+                         output_format=getattr(args, "format", "text"),
+                         output_path=getattr(args, "output_path", None),
+                         **{k: v for k, v in bounds.items() if v is not None})
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _emit(text: str, cfg: RunConfig):
@@ -141,10 +140,6 @@ def cmd_build(args) -> int:
     return 2 if res.outcome == EXCEEDED else 0
 
 
-# expected quotient counts for the desk-scale cases, used in text summaries
-_KNOWN_QUOTIENTS = {7: 1, 10: 4, 11: 1, 12: 4, 13: 70, 19: 70, 21: 1}
-
-
 def cmd_quotients(args) -> int:
     cfg = _config(args)
     spec = _amalgam_from_args(args)
@@ -170,8 +165,8 @@ def cmd_quotients(args) -> int:
                     if (c.facet_name, c.vfig_name) == (args.facet, args.vfig)), None)
     lines = [f"{spec.name}: {report.total_quotients} quotient classes, "
              f"{report.regular_count} regular, {report.section_regular_count} section regular"]
-    if case_no in _KNOWN_QUOTIENTS:
-        lines.append(f"  expected (case {case_no}): {_KNOWN_QUOTIENTS[case_no]} quotients")
+    if case_no in EXPECTED_QUOTIENTS:
+        lines.append(f"  expected (case {case_no}): {EXPECTED_QUOTIENTS[case_no]} quotients")
     for r in report.records:
         lines.append(f"  |N|={r.subgroup_order:3d} x{r.class_size:2d} "
                      f"{'regular ' if r.is_regular else ''}"

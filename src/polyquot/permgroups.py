@@ -2,11 +2,15 @@
 
 A MarkedGroup is a concrete permutation group together with its ordered list
 of distinguished involutory generators (the s_i of a string group).  Elements
-are enumerated exhaustively (desk scale: orders up to ~10^4) and indexed in
-lexicographic order of their image arrays, so element ids, subgroup
-representatives and report orderings are reproducible across runs.  A dense
-right-multiplication table makes products, conjugation, subgroup closure and
-coset labelling single numpy gathers.
+are enumerated exhaustively (desk scale: orders up to ~10^4) by one
+breadth-first search, which also records the right Cayley graph: for each
+element and generator, the element their product is.  One sort then numbers
+the elements in lexicographic order of their image arrays, so element ids,
+subgroup representatives and report orderings are reproducible across runs.
+The sorted image arrays are the only element index: membership is a binary
+search over them, and the generators' rows of the dense right-multiplication
+table are the Cayley graph renumbered.  That table makes products,
+conjugation, subgroup closure and coset labelling single numpy gathers.
 
 Subgroup-class enumeration uses cyclic extension (prime-index extensions
 inside the normalizer) plus joins with odd-prime-power cyclic subgroups.
@@ -64,11 +68,6 @@ def is_involution(p: np.ndarray) -> bool:
     return bool(np.array_equal(p[p], np.arange(len(p))))
 
 
-def _row_key(row: np.ndarray) -> bytes:
-    # big-endian unsigned bytes compare like the numeric image tuple
-    return np.ascontiguousarray(row, dtype=">u4").tobytes()
-
-
 def _ids_key(ids) -> bytes:
     return np.ascontiguousarray(ids, dtype=np.int32).tobytes()
 
@@ -114,7 +113,7 @@ class MarkedGroup:
                 raise ValueError(f"generator {i} does not square to the identity")
         self.order_limit = order_limit
         self._elements = None      # (order x degree) image arrays, lex sorted
-        self._index = None         # row key -> element id
+        self._cayley = None        # _cayley[i, k] = id of elem_i * gens[k]
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j
         self._inv = None
         self._elem_orders = None
@@ -129,29 +128,37 @@ class MarkedGroup:
         if self._elements is not None:
             return
         ident = identity_perm(self.degree)
-        seen = {_row_key(ident)}
+        position = {ident.tobytes(): 0}  # BFS position of each element
         elems = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.gens:
-                    q = g[p]
-                    key = _row_key(q)
-                    if key not in seen:
-                        if len(elems) >= self.order_limit:
-                            raise BoundExceeded(
-                                f"group order exceeds enumeration limit {self.order_limit}")
-                        seen.add(key)
-                        elems.append(q)
-                        nxt.append(q)
-            frontier = nxt
+        cayley = []  # BFS position of elems[k] * gens[i], at k * rank + i
+        k = 0
+        while k < len(elems):
+            p = elems[k]
+            for g in self.gens:
+                q = g[p]
+                key = q.tobytes()
+                j = position.get(key)
+                if j is None:
+                    if len(elems) >= self.order_limit:
+                        raise BoundExceeded(
+                            f"group order exceeds enumeration limit {self.order_limit}")
+                    j = position[key] = len(elems)
+                    elems.append(q)
+                cayley.append(j)
+            k += 1
+        del position
         mat = np.array(elems, dtype=np.int32)
-        keys = [_row_key(r) for r in mat]
-        order = sorted(range(len(elems)), key=keys.__getitem__)
-        mat = mat[order]
-        self._elements = mat
-        self._index = {_row_key(r): i for i, r in enumerate(mat)}
+        del elems
+        n = len(mat)
+        # big-endian unsigned bytes compare like the numeric image tuple
+        rows = mat.astype(">u4").view(f"V{4 * self.degree}").ravel()
+        by_id = np.argsort(rows)  # BFS position of each element id
+        del rows
+        id_of = np.empty(n, dtype=np.int64)
+        id_of[by_id] = np.arange(n)
+        cayley = np.array(cayley, dtype=np.int64).reshape(n, self.rank)
+        self._cayley = id_of[cayley[by_id]]
+        self._elements = mat[by_id]
 
     @property
     def order(self) -> int:
@@ -168,15 +175,26 @@ class MarkedGroup:
         p = as_perm(perm)
         if len(p) != self.degree:
             raise ValueError(f"permutation acts on {len(p)} points, group degree is {self.degree}")
-        self._enumerate()
-        return self._index.get(_row_key(p), -1)
+        elems = self.elements
+        lo, hi = 0, len(elems)
+        while lo < hi:  # binary search in the lex-sorted rows
+            mid = (lo + hi) // 2
+            diff = np.flatnonzero(elems[mid] != p)
+            if diff.size == 0:
+                return mid
+            if elems[mid, diff[0]] < p[diff[0]]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return -1
 
     def perm_of(self, elem_id: int) -> np.ndarray:
         return self.elements[elem_id]
 
     @property
     def gen_ids(self) -> list[int]:
-        return [self.element_id(g) for g in self.gens]
+        self._enumerate()
+        return [int(x) for x in self._cayley[0]]  # the identity has id 0
 
     # -- dense multiplication table ------------------------------------------
 
@@ -189,10 +207,8 @@ class MarkedGroup:
         R = np.full((n, n), -1, dtype=dtype)
         R[0] = np.arange(n, dtype=dtype)  # identity has id 0 (lex-least row)
         gids = self.gen_ids
-        for g, gid in zip(self.gens, gids):
-            rows = g[self._elements]  # row i = elem_i * g
-            R[gid] = np.fromiter(
-                (self._index[_row_key(r)] for r in rows), dtype=dtype, count=n)
+        for k, gid in enumerate(gids):
+            R[gid] = self._cayley[:, k]  # row i = elem_i * gens[k]
         done = np.zeros(n, dtype=bool)
         done[0] = True
         for gid in gids:
@@ -263,7 +279,7 @@ class MarkedGroup:
                 cur = self.rmul[np.arange(n), cur]
                 hit = (cur == 0) & (orders == 0)
                 orders[hit] = k
-            return orders
+            self._elem_orders = orders
         return self._elem_orders
 
     # -- subgroups -------------------------------------------------------------
@@ -367,14 +383,6 @@ class Subgroup:
 
 # ---------------------------------------------------------------------------
 # group operations
-
-
-def group_order(g: MarkedGroup) -> int:
-    return g.order
-
-
-def is_member(g: MarkedGroup, perm) -> bool:
-    return g.element_id(perm) >= 0
 
 
 def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:

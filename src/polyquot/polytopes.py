@@ -224,10 +224,6 @@ def _perm_order(p) -> int:
     return o
 
 
-def faces_from_flags(fg: FlagGraph) -> Polytope:
-    return Polytope(fg)
-
-
 def polytope_from_group(g: MarkedGroup) -> Polytope:
     return Polytope(flag_graph_from_group(g))
 

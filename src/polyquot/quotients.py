@@ -63,6 +63,20 @@ class QuotientCandidate:
     def n_orbits(self) -> int:
         return len(self.orbit_reps)
 
+    def defect(self) -> str | None:
+        """None if the candidate is a polytope whose maximal chains biject
+        with the flag orbits (the subgroup is semisparse); otherwise the first
+        failed requirement."""
+        ok, why = is_polytopal(self.poset)
+        if not ok:
+            return why
+        chains = self.face_of_flag[self.orbit_reps]
+        if len(np.unique(chains, axis=0)) != self.n_orbits:
+            return "flags: distinct orbits induce the same maximal chain"
+        if _maximal_chain_count(self.poset) != self.n_orbits:
+            return "flags: quotient has maximal chains not induced by any orbit"
+        return None
+
 
 def quotient_candidate(p: Polytope, g: MarkedGroup, n_ids: np.ndarray) -> QuotientCandidate:
     """Faces of the candidate quotient are subgroup orbits of faces; incidence
@@ -95,20 +109,22 @@ def semisparse_diagnostic(g: MarkedGroup, n: Subgroup, p: Polytope | None = None
     """None if semisparse; otherwise the first failed requirement."""
     if p is None:
         p = polytope_from_group(g)
-    cand = quotient_candidate(p, g, n.elem_ids)
-    ok, why = is_polytopal(cand.poset)
-    if not ok:
-        return why
-    chains = cand.face_of_flag[cand.orbit_reps]
-    if len(np.unique(chains, axis=0)) != cand.n_orbits:
-        return "flags: distinct orbits induce the same maximal chain"
-    if _maximal_chain_count(cand.poset) != cand.n_orbits:
-        return "flags: quotient has maximal chains not induced by any orbit"
-    return None
+    return quotient_candidate(p, g, n.elem_ids).defect()
 
 
 def is_semisparse(g: MarkedGroup, n: Subgroup, p: Polytope | None = None) -> bool:
     return semisparse_diagnostic(g, n, p) is None
+
+
+def _polytope_of(g: MarkedGroup, cand: QuotientCandidate) -> Polytope:
+    """The quotient polytope of an accepted candidate; flags are the orbits."""
+    oidx = np.searchsorted(cand.orbit_reps, cand.orbit_lab)
+    adj = []
+    for a in (g.right_action(gid) for gid in g.gen_ids):
+        adj.append(oidx[cand.orbit_lab[np.asarray(a)[cand.orbit_reps]]].astype(np.int32))
+    fg = FlagGraph(adj)
+    fg.validate()
+    return Polytope(fg)
 
 
 def quotient_polytope(p: Polytope, g: MarkedGroup, n: Subgroup) -> Polytope:
@@ -116,18 +132,11 @@ def quotient_polytope(p: Polytope, g: MarkedGroup, n: Subgroup) -> Polytope:
 
     Rejects non-semisparse subgroups, naming the failed axiom.
     """
-    why = semisparse_diagnostic(g, n, p)
+    cand = quotient_candidate(p, g, n.elem_ids)
+    why = cand.defect()
     if why is not None:
         raise ValueError(f"subgroup of order {n.order} is not semisparse: {why}")
-    orbit_lab = _flag_orbits(g, n.elem_ids)
-    reps = np.unique(orbit_lab)
-    oidx = np.searchsorted(reps, orbit_lab)
-    adj = []
-    for a in (g.right_action(gid) for gid in g.gen_ids):
-        adj.append(oidx[orbit_lab[np.asarray(a)[reps]]].astype(np.int32))
-    fg = FlagGraph(adj)
-    fg.validate()
-    return Polytope(fg)
+    return _polytope_of(g, cand)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +168,22 @@ def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
     return ok
 
 
+def _semisparse_candidates(g: MarkedGroup, order_bound: int, p: Polytope):
+    """Each semisparse class with its accepted candidate quotient; the ground
+    truth runs once per class of the masked lattice."""
+    allowed = semisparse_allowed_mask(g)
+    for cls in enumerate_subgroups_within(g, allowed, order_bound):
+        cand = quotient_candidate(p, g, cls.rep.elem_ids)
+        if cand.defect() is None:
+            yield cls, cand
+
+
 def semisparse_classes(g: MarkedGroup, order_bound: int = 10**4,
                        p: Polytope | None = None) -> list[SubgroupClass]:
     """One representative per conjugacy class of semisparse subgroups."""
     if p is None:
         p = polytope_from_group(g)
-    allowed = semisparse_allowed_mask(g)
-    candidates = enumerate_subgroups_within(g, allowed, order_bound)
-    return [c for c in candidates if is_semisparse(g, c.rep, p)]
+    return [cls for cls, _ in _semisparse_candidates(g, order_bound, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +317,8 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
     """Classify every quotient of the regular polytope with group g."""
     p = polytope_from_group(g)
     records = []
-    for cls in semisparse_classes(g, order_bound, p):
-        qp = quotient_polytope(p, g, cls.rep)
+    for cls, cand in _semisparse_candidates(g, order_bound, p):
+        qp = _polytope_of(g, cand)
         normal = cls.rep.is_normal()
         regular = is_regular(qp)
         if regular != normal:

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import catalog
 from .amalgam import (EXISTS, COLLAPSED, NOT_POLYTOPAL, amalgam_presentation,
-                      build_universal, case_spec, stretch_case20)
+                      build_universal, build_universal_over_facet, case_spec,
+                      twisted_over)
 from .config import RunConfig
 from .coset import EXCEEDED
 from .polytopes import (are_isomorphic, dual, is_polytopal, is_regular,
@@ -21,6 +22,9 @@ from .polytopes import (are_isomorphic, dual, is_polytopal, is_regular,
 from .quotients import (PAPER_QUOTED, aggregate_summary, classify_quotients,
                         contribution_from_report, quotient_polytope,
                         semisparse_classes)
+
+# quotient classes of each desk-scale universal, by Table 1 case number
+EXPECTED_QUOTIENTS = {7: 1, 10: 4, 11: 1, 12: 4, 13: 70, 19: 70, 21: 1}
 
 
 @dataclass
@@ -112,17 +116,16 @@ def criterion_3(ws: Workspace) -> list[CheckRow]:
 
 def criterion_4(ws: Workspace) -> list[CheckRow]:
     """Case 10: order, twisting cross-check, the four quotients."""
-    from .amalgam import twisted_2H
-
     r = ws.universal(10)
     rows = [CheckRow(4, "case 10 outcome", EXISTS, r.outcome),
             CheckRow(4, "case 10 group order", 192, r.order)]
-    tg = twisted_2H(catalog.entry_by_name("hemicross"))
+    tg = twisted_over(catalog.entry_by_name("hemicross"))
     rows.append(CheckRow(4, "twisted group over hemicross: order", 192, tg.order))
     rows.append(CheckRow(4, "twisted polytope isomorphic to universal", True,
                          are_isomorphic(polytope_from_group(tg), r.polytope())))
     rep = ws.report(10)
-    rows.append(CheckRow(4, "case 10 quotient classes", 4, rep.total_quotients))
+    rows.append(CheckRow(4, "case 10 quotient classes", EXPECTED_QUOTIENTS[10],
+                         rep.total_quotients))
     rows.append(CheckRow(4, "case 10 regular quotients", 3, rep.regular_count))
     digonal = [q for q in rep.records if not q.is_regular]
     ok_digon = (len(digonal) == 1 and
@@ -151,7 +154,8 @@ def criterion_5(ws: Workspace) -> list[CheckRow]:
     r = ws.universal(11)
     rep = ws.report(11)
     return [CheckRow(5, "case 11 group order", 96, r.order),
-            CheckRow(5, "case 11 quotient classes", 1, rep.total_quotients)]
+            CheckRow(5, "case 11 quotient classes", EXPECTED_QUOTIENTS[11],
+                     rep.total_quotients)]
 
 
 def criterion_6(ws: Workspace) -> list[CheckRow]:
@@ -161,7 +165,8 @@ def criterion_6(ws: Workspace) -> list[CheckRow]:
     return [CheckRow(6, "11-cell group order", 660, r.order),
             CheckRow(6, "11-cell facet count", 11, p.counts[-1]),
             CheckRow(6, "11-cell self-dual", True, are_isomorphic(p, dual(p))),
-            CheckRow(6, "11-cell proper quotients", 1, rep.total_quotients)]
+            CheckRow(6, "11-cell proper quotients", EXPECTED_QUOTIENTS[7],
+                     rep.total_quotients)]
 
 
 def criterion_7(ws: Workspace) -> list[CheckRow]:
@@ -171,7 +176,8 @@ def criterion_7(ws: Workspace) -> list[CheckRow]:
     rows = [CheckRow(7, "57-cell group order", 3420, r.order),
             CheckRow(7, "57-cell facet count", 57, p.counts[-1]),
             CheckRow(7, "57-cell self-dual", True, are_isomorphic(p, dual(p))),
-            CheckRow(7, "57-cell proper quotients", 1, rep.total_quotients)]
+            CheckRow(7, "57-cell proper quotients", EXPECTED_QUOTIENTS[21],
+                     rep.total_quotients)]
     pres20 = amalgam_presentation(case_spec(20).amalgam())
     g = r.group
     start = np.arange(g.degree)
@@ -194,7 +200,8 @@ def criterion_8(ws: Workspace) -> list[CheckRow]:
     rows = [CheckRow(8, "case 13 group order (2^6 * 60)", 2**6 * 60, r.order),
             CheckRow(8, "case 13 facet count", 80, p.counts[-1]),
             CheckRow(8, "case 13 vertex count", 64, p.counts[0]),
-            CheckRow(8, "case 13 quotient classes", 70, rep.total_quotients),
+            CheckRow(8, "case 13 quotient classes", EXPECTED_QUOTIENTS[13],
+                     rep.total_quotients),
             CheckRow(8, "case 13 regular quotients", 3, rep.regular_count)]
     same_type = [q for q in rep.records if not q.is_regular
                  and set(q.facet_classes) == {"cube"}
@@ -269,7 +276,7 @@ def criterion_12(ws: Workspace) -> list[CheckRow]:
 
 def criterion_13(ws: Workspace) -> list[CheckRow]:
     """Stretch: case 20 over its facet subgroup; optional, never fails the suite."""
-    res = stretch_case20(case_spec(20), max_cosets=ws.config.max_cosets)
+    res = build_universal_over_facet(case_spec(20), max_cosets=ws.config.max_cosets)
     if res.outcome != EXISTS:
         return [CheckRow(13, "case 20 stretch outcome", EXISTS, res.outcome, source="stretch")]
     return [

@@ -41,6 +41,18 @@ def mulclose(gens, limit=100000):
     return elems
 
 
+def brute_force_products(degree, gens):
+    """A group's elements in lexicographic order and its products, by brute
+    force: (elems, index, rmul, inv, gen_ids) with rmul[j][i] the index of
+    elems[i] * elems[j]."""
+    gens = [tuple(int(x) for x in g) for g in gens]
+    elems = sorted(mulclose(gens)) if gens else [tuple(range(degree))]
+    index = {e: i for i, e in enumerate(elems)}
+    rmul = [[index[perm_mul(a, b)] for a in elems] for b in elems]
+    inv = [index[perm_inv(e)] for e in elems]
+    return elems, index, rmul, inv, [index[g] for g in gens]
+
+
 def signed_permutation_group(n):
     """Symmetries of the n-cube as permutations of the 2n facet directions.
 

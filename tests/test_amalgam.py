@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
 
+from polyquot import amalgam
 from polyquot.amalgam import (COLLAPSED, EXISTS, AmalgamSpec, TABLE1,
-                              amalgam_presentation, build_universal, case_spec,
-                              classify_table1, stretch_case20, twisted_2H)
+                              amalgam_presentation, build_universal,
+                              build_universal_over_facet, case_spec,
+                              classify_table1, twisted_over)
 from polyquot.catalog import entry_by_name, petrie_relator
 from polyquot.coset import EXCEEDED
 from polyquot.polytopes import are_isomorphic, dual, polytope_from_group
@@ -104,13 +108,13 @@ def test_dual_pair_13_19(ws):
 
 
 def test_twisted_hemicross(ws):
-    tg = twisted_2H(entry_by_name("hemicross"))
+    tg = twisted_over(entry_by_name("hemicross"))
     assert tg.order == 2**3 * 24 == 192
     assert are_isomorphic(polytope_from_group(tg), ws.universal(10).polytope())
 
 
 def test_twisted_hemi_icosahedron():
-    tg = twisted_2H(entry_by_name("hemi-icosahedron"))
+    tg = twisted_over(entry_by_name("hemi-icosahedron"))
     assert tg.order == 2**6 * 60
 
 
@@ -119,7 +123,7 @@ def test_twisted_needs_rank3():
 
     rank4 = CatalogEntry("fake", SchlafliSymbol((4, 3, 3)), (), 384, "spherical", "fake")
     with pytest.raises(ValueError):
-        twisted_2H(rank4)
+        twisted_over(rank4)
 
 
 def test_collapse_monotone_under_budget(ws):
@@ -153,7 +157,7 @@ def test_facet_and_vfig_sections_match_prescription(ws):
 
 def test_facet_coset_path_on_faithful_small_case():
     # case 7 over its facet subgroup: 11 cosets, simple group, faithful action
-    res = stretch_case20(case_spec(7), max_cosets=10**4)
+    res = build_universal_over_facet(case_spec(7), max_cosets=10**4)
     assert res.outcome == EXISTS
     assert res.order_reconstructed == 11 * 60 == 660
     assert res.facet_subgroup_order == 60 and res.vfig_subgroup_order == 60
@@ -163,7 +167,7 @@ def test_facet_coset_path_reports_inconclusive_when_unfaithful():
     # case 10's facet parabolic has a big core: the method must not guess
     from polyquot.amalgam import INCONCLUSIVE
 
-    res = stretch_case20(case_spec(10), max_cosets=10**4)
+    res = build_universal_over_facet(case_spec(10), max_cosets=10**4)
     assert res.outcome == INCONCLUSIVE
     assert res.order_reconstructed is None
 
@@ -172,11 +176,27 @@ def test_facet_coset_path_detects_vfig_collapse():
     # case 8 = {3,5}_5 facets with {5,3} prescribed: over the facet subgroup
     # the action is faithful (the 11-cell group is simple) and the collapse of
     # the vertex figure to the hemidodecahedron is certified exactly
-    res = stretch_case20(case_spec(8), max_cosets=10**4)
+    res = build_universal_over_facet(case_spec(8), max_cosets=10**4)
     assert res.outcome == COLLAPSED
     assert res.vfig_subgroup_order == 60
 
 
 def test_stretch_case22_exceeds_budget():
-    res = stretch_case20(case_spec(22), max_cosets=10**4)
+    res = build_universal_over_facet(case_spec(22), max_cosets=10**4)
     assert res.outcome == EXCEEDED
+
+
+def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
+    # case 22's facet-subgroup index (10,006,920) is over the stretch budget
+    over_facet = []
+
+    def fake_enumeration(pres, subgroup_words=(), max_cosets=0):
+        over_facet.append(pres)
+        return SimpleNamespace(status=EXCEEDED, cosets_defined=0)
+
+    monkeypatch.setattr(amalgam, "coset_enumeration", fake_enumeration)
+    monkeypatch.setattr(amalgam, "build_universal",
+                        lambda spec, max_cosets: amalgam.UniversalResult(spec, EXISTS))
+    results = classify_table1(stretch=True)
+    assert over_facet == [amalgam_presentation(case_spec(20).amalgam())]
+    assert results[22].outcome == EXCEEDED and results[22].cosets_defined == 0

@@ -130,3 +130,27 @@ def test_output_path(tmp_path, capsys):
                        "--output-path", str(out_file))
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())
+
+
+def test_negative_max_cosets_is_usage_error(capsys):
+    code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross",
+                       "--max-cosets", "-1")
+    assert code == 3 and err.startswith("usage error:")
+
+
+def test_zero_max_cosets_is_usage_error(capsys):
+    code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross",
+                       "--max-cosets", "0")
+    assert code == 3 and err.startswith("usage error:")
+
+
+def test_negative_subgroup_bound_is_usage_error(capsys):
+    code, _, err = run(capsys, "quotients", "--facet", "cube", "--vfig", "hemicross",
+                       "--subgroup-bound", "-5")
+    assert code == 3 and err.startswith("usage error:")
+
+
+def test_non_integer_env_max_cosets_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("POLYQUOT_MAX_COSETS", "abc")
+    code, _, err = run(capsys, "catalog")
+    assert code == 3 and err.startswith("usage error:")

@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from polyquot.catalog import SchlafliSymbol, coxeter_presentation, entry_by_name, petrie_relator
 from polyquot.coset import coset_enumeration, perm_rep
+from polyquot.amalgam import twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
-                                 conjugates, enumerate_subgroups, group_order,
-                                 intersect, is_member, product_set_intersect)
+                                 conjugates, enumerate_subgroups, intersect,
+                                 product_set_intersect)
 
-from oracles import brute_force_subgroups, conjugacy_partition, mulclose
+from oracles import (brute_force_products, brute_force_subgroups,
+                     conjugacy_partition, mulclose)
 
 
 def realize(entries, petrie=None):
@@ -38,9 +40,9 @@ def test_generators_must_be_involutions():
 
 
 def test_group_order_examples(ws):
-    assert group_order(ws.universal(7).group) == 660  # the 11-cell
-    assert group_order(MarkedGroup(1, [])) == 1
-    assert group_order(ws.universal(10).group) == 192
+    assert ws.universal(7).group.order == 660  # the 11-cell
+    assert MarkedGroup(1, []).order == 1
+    assert ws.universal(10).group.order == 192
 
 
 def test_order_limit():
@@ -52,14 +54,14 @@ def test_order_limit():
 
 def test_is_member(cube):
     ident = np.arange(cube.degree)
-    assert is_member(cube, ident)
-    assert is_member(cube, cube.gens[1][cube.gens[0]])  # s0*s1
+    assert cube.element_id(ident) >= 0
+    assert cube.element_id(cube.gens[1][cube.gens[0]]) >= 0  # s0*s1
     # a 3-cycle on points fixed by nothing in the group's image set
     outside = np.arange(cube.degree)
     outside[[0, 1, 2]] = [1, 2, 0]
-    assert not is_member(cube, outside)
+    assert not cube.element_id(outside) >= 0
     with pytest.raises(ValueError):
-        is_member(cube, np.arange(cube.degree + 1))
+        cube.element_id(np.arange(cube.degree + 1))
 
 
 def test_element_order_and_inverse(cube):
@@ -68,6 +70,43 @@ def test_element_order_and_inverse(cube):
     for e in range(cube.order):
         assert cube.mul(e, cube.inverse(e)) == 0
         assert cube.power(np.array([e]), int(orders[e]))[0] == 0
+
+
+def test_element_orders_computed_once(cube):
+    assert cube.element_orders is cube.element_orders
+
+
+def _oracle_groups(ws):
+    w = ws.universal(10).group
+    return {
+        "cube": entry_by_name("cube").group(),  # regular action
+        "case10-facet-parabolic": MarkedGroup(w.degree, w.gens[:3]),  # 48 on 192 points
+        "twisted-hemicross": twisted_over(entry_by_name("hemicross")),
+        "trivial": MarkedGroup(1, []),
+    }
+
+
+@pytest.mark.parametrize("name", ["cube", "case10-facet-parabolic",
+                                  "twisted-hemicross", "trivial"])
+def test_tables_against_brute_force_products(ws, name):
+    g = _oracle_groups(ws)[name]
+    elems, index, rmul, inv, gen_ids = brute_force_products(g.degree, g.gens)
+    assert np.array_equal(g.elements, np.array(elems))
+    assert np.array_equal(g.rmul, np.array(rmul))
+    assert np.array_equal(g.inv_ids, np.array(inv))
+    assert g.gen_ids == gen_ids
+    for i, e in enumerate(elems):
+        assert g.element_id(e) == i
+        # a member with two images swapped, usually a non-member next to it
+        near = list(e)
+        near[0], near[-1] = near[-1], near[0]
+        assert g.element_id(near) == index.get(tuple(near), -1)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        p = rng.permutation(g.degree)
+        assert g.element_id(p) == index.get(tuple(int(x) for x in p), -1)
+    with pytest.raises(ValueError):
+        g.element_id(np.arange(g.degree + 1))
 
 
 def test_enumerate_subgroups_c2():

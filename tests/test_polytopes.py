@@ -3,8 +3,8 @@ import pytest
 
 from polyquot.catalog import entry_by_name
 from polyquot.permgroups import MarkedGroup
-from polyquot.polytopes import (FacePoset, are_isomorphic, dual,
-                                faces_from_flags, flag_graph_from_group,
+from polyquot.polytopes import (FacePoset, Polytope, are_isomorphic, dual,
+                                flag_graph_from_group,
                                 flag_graph_dot, hasse_dot, intersection_condition,
                                 is_polytopal, is_regular, polytope_json,
                                 section, section_profile)
@@ -40,8 +40,8 @@ def test_flag_graph_roundtrip():
     for name in ("cube", "hemicube", "hemi-icosahedron"):
         g = entry_by_name(name).group()
         fg = flag_graph_from_group(g)
-        p = faces_from_flags(fg)
-        p2 = faces_from_flags(p.fg)
+        p = Polytope(fg)
+        p2 = Polytope(p.fg)
         assert are_isomorphic(p, p2)
 
 

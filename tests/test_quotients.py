@@ -192,3 +192,24 @@ def test_aggregate_summary_totals():
 def test_aggregate_summary_empty():
     s = aggregate_summary([])
     assert s.total == 0 and s.regular == 0 and s.abstract_total == 0
+
+
+def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
+    from polyquot import quotients as pq
+
+    enumerate_within, quotient_candidate = pq.enumerate_subgroups_within, pq.quotient_candidate
+    calls = {"classes": 0, "candidates": 0}
+
+    def counting_lattice(*args, **kwargs):
+        classes = enumerate_within(*args, **kwargs)
+        calls["classes"] += len(classes)
+        return classes
+
+    def counting_candidate(*args, **kwargs):
+        calls["candidates"] += 1
+        return quotient_candidate(*args, **kwargs)
+
+    monkeypatch.setattr(pq, "enumerate_subgroups_within", counting_lattice)
+    monkeypatch.setattr(pq, "quotient_candidate", counting_candidate)
+    assert pq.classify_quotients(ws.universal(10).group, "case10").total_quotients == 4
+    assert calls["candidates"] == calls["classes"] > 4
