@@ -15,7 +15,7 @@ import sys
 from . import catalog
 from .amalgam import EXISTS, AmalgamSpec, TABLE1, build_universal, classify_table1
 from .config import RunConfig
-from .coset import EXCEEDED
+from .coset import EXCEEDED, RelatorMismatch
 from .permgroups import BoundExceeded
 from .polytopes import flag_graph_dot, hasse_dot, polytope_json
 from .presentations import format_presentation
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except BoundExceeded as e:
         sys.stderr.write(f"bound exceeded: {e}\n")
         return 2
+    except RelatorMismatch as e:
+        sys.stderr.write(f"verification mismatch: {e}\n")
+        return 1
 
 
 if __name__ == "__main__":

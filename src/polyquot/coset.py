@@ -23,6 +23,10 @@ CLOSED = "closed"
 EXCEEDED = "exceeded-limit"
 
 
+class RelatorMismatch(Exception):
+    """A closed coset table's permutations break a relator of its presentation."""
+
+
 @dataclass
 class CosetTable:
     """Result of an enumeration.  Coset 0 is the subgroup itself."""
@@ -248,5 +252,5 @@ def perm_rep(table: CosetTable):
         for x in rel:
             img = gens[x][img]
         if not np.array_equal(img, start):
-            raise AssertionError(f"relator {rel} not satisfied by the induced permutations")
+            raise RelatorMismatch(f"relator {rel} not satisfied by the induced permutations")
     return g

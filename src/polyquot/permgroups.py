@@ -117,6 +117,7 @@ class MarkedGroup:
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j
         self._inv = None
         self._elem_orders = None
+        self._intersection = None  # kept by polytopes.intersection_condition
 
     @property
     def rank(self) -> int:
@@ -364,13 +365,6 @@ class Subgroup:
 
     def key(self) -> bytes:
         return _ids_key(self.elem_ids)
-
-    def contains_id(self, elem_id: int) -> bool:
-        i = np.searchsorted(self.elem_ids, elem_id)
-        return i < len(self.elem_ids) and self.elem_ids[i] == elem_id
-
-    def contains(self, other: "Subgroup") -> bool:
-        return bool(np.isin(other.elem_ids, self.elem_ids).all())
 
     def is_normal(self) -> bool:
         g = self.parent

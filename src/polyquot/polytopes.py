@@ -3,15 +3,23 @@
 A FlagGraph carries the combinatorics of a polytope as rank-indexed adjacency
 involutions on flags.  Faces are recovered as orbits of flags under the
 adjacencies omitting one rank; the face poset (with virtual least and greatest
-faces) is what the polytopality axioms are checked against.  Isomorphism is
-decided by a canonical certificate: the lexicographically least BFS relabelling
-of the flag adjacencies over all start flags.  An automorphism of a connected
-flag graph is fixed by the image of one flag, so the same sweep yields the
-automorphism group order and hence flag-transitivity.
+faces) is what the polytopality axioms are checked against.
+
+Isomorphism is decided by a canonical certificate built from one deterministic
+BFS relabelling of the flag adjacencies.  Equal certificates from two start
+flags give an automorphism mapping one start to the other, so a polytope is
+regular exactly when flag 0 and each of its rank neighbours have the same
+certificate: the automorphism orbit of flag 0 is then closed under every
+adjacency and, the flag graph being connected, holds every flag.  That test
+takes rank+1 BFS runs.  A regular polytope's canonical certificate is the run
+from flag 0 and its automorphism group order is the flag count; only a
+non-regular polytope minimises over all start flags, and its automorphism
+group order is the number of starts tied with flag 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -72,10 +80,6 @@ def _orbit_label_array(adj, n) -> np.ndarray:
     return lab
 
 
-def _orbit_labels(adj, n) -> np.ndarray:
-    return np.unique(_orbit_label_array(adj, n))
-
-
 def string_condition(g: MarkedGroup) -> bool:
     """Generators pairwise commute at distance >= 2 in the string diagram."""
     for i in range(g.rank):
@@ -87,18 +91,19 @@ def string_condition(g: MarkedGroup) -> bool:
 
 
 def intersection_condition(g: MarkedGroup) -> bool:
-    """<s_i : i in I> ∩ <s_j : j in J> = <s_k : k in I∩J> for all I, J."""
-    from itertools import combinations, chain
+    """<s_i : i in I> ∩ <s_j : j in J> = <s_k : k in I∩J> for all I, J.
 
-    subsets = list(chain.from_iterable(
-        combinations(range(g.rank), r) for r in range(g.rank + 1)))
-    para = {s: frozenset(int(e) for e in g.parabolic(s).elem_ids) for s in subsets}
-    for a in subsets:
-        for b in subsets:
-            meet = tuple(sorted(set(a) & set(b)))
-            if len(para[a] & para[b]) != len(para[meet]):
-                return False
-    return True
+    Evaluated once per group; the result is kept on the group."""
+    if g._intersection is None:
+        from itertools import combinations, chain
+
+        subsets = list(chain.from_iterable(
+            combinations(range(g.rank), r) for r in range(g.rank + 1)))
+        para = {s: frozenset(int(e) for e in g.parabolic(s).elem_ids) for s in subsets}
+        g._intersection = all(
+            len(para[a] & para[b]) == len(para[tuple(sorted(set(a) & set(b)))])
+            for a in subsets for b in subsets)
+    return g._intersection
 
 
 def flag_graph_from_group(g: MarkedGroup) -> FlagGraph:
@@ -168,9 +173,9 @@ class Polytope:
             m = np.zeros((self.counts[i], self.counts[i + 1]), dtype=bool)
             m[self.face_of_flag[:, i], self.face_of_flag[:, i + 1]] = True
             self.mats.append(m)
+        self._regular = None
         self._cert = None
         self._aut = None
-        self._transitive = None
 
     @property
     def rank(self) -> int:
@@ -185,18 +190,22 @@ class Polytope:
 
     # -- certificates -----------------------------------------------------
 
-    def _scan_certs(self):
-        if self._cert is None:
-            self._cert, self._aut = _canonical_certificate(self.fg)
+    def _certificates(self):
+        """(canonical certificate, automorphism group order), computed once."""
+        if self._cert is None and not is_regular(self):
+            adj = [a.tolist() for a in self.fg.adj]
+            certs = [_certificate_from(adj, s) for s in range(self.n_flags)]
+            self._cert = _cert_header(self.fg) + min(certs)
+            self._aut = certs.count(certs[0])
         return self._cert, self._aut
 
     @property
     def certificate(self) -> bytes:
-        return self._scan_certs()[0]
+        return self._certificates()[0]
 
     @property
     def aut_order(self) -> int:
-        return self._scan_certs()[1]
+        return self._certificates()[1]
 
     def schlafli_type(self) -> tuple[int, ...]:
         """Orders of the products r_{i-1} r_i on flags (the polygon orders)."""
@@ -333,46 +342,10 @@ def _section_connected(poset, mats, reach, i, j, a, b) -> bool:
 # canonical certificates
 
 
-_SMALL_CERT = 400  # below this, plain lists beat numpy per-level overhead
-
-
-def _bfs_labels(adj, start: int, n: int) -> np.ndarray:
-    """Deterministic BFS labelling: children explored in rank order from each
-    parent, parents in label order."""
-    ln = np.full(n, -1, dtype=np.int64)
-    ln[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    count = 1
-    k = len(adj)
-    while frontier.size:
-        if k == 0:
-            break
-        cand = np.empty(frontier.size * k, dtype=np.int64)
-        for i, a in enumerate(adj):
-            cand[i::k] = a[frontier]
-        cand = cand[ln[cand] < 0]
-        if cand.size:
-            uniq, first = np.unique(cand, return_index=True)
-            order = np.argsort(first, kind="stable")
-            new = uniq[order]
-            ln[new] = count + np.arange(len(new))
-            count += len(new)
-            frontier = new
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-    return ln
-
-
-def _certificate_from(adj, start: int, n: int) -> bytes:
-    ln = _bfs_labels(adj, start, n)
-    pos = np.argsort(ln)  # pos[new label] = flag
-    rows = [ln[a[pos]] for a in adj]
-    return np.concatenate(rows).astype(np.int64).tobytes() if rows else b""
-
-
-def _certificate_from_lists(adj, start: int, n: int) -> bytes:
-    """Same labelling as _certificate_from, for small graphs."""
-    ln = [-1] * n
+def _certificate_from(adj: list[list[int]], start: int) -> bytes:
+    """Adjacencies relabelled by a deterministic BFS from `start`: children
+    explored in rank order from each parent, parents in label order."""
+    ln = [-1] * len(adj[0])
     ln[start] = 0
     order = [start]
     count = 1
@@ -393,64 +366,20 @@ def _certificate_from_lists(adj, start: int, n: int) -> bytes:
     return np.asarray(out, dtype=np.int64).tobytes()
 
 
-def _cert_scan(fg: FlagGraph):
-    """Yield (start, certificate) for every start flag."""
-    n = fg.n_flags
-    if n <= _SMALL_CERT:
-        adj = [a.tolist() for a in fg.adj]
-        for start in range(n):
-            yield start, _certificate_from_lists(adj, start, n)
-    else:
-        for start in range(n):
-            yield start, _certificate_from(fg.adj, start, n)
-
-
 def _cert_header(fg: FlagGraph) -> bytes:
     return repr((fg.rank, fg.n_flags)).encode()
 
 
-def _canonical_certificate(fg: FlagGraph) -> tuple[bytes, int]:
-    """(lex-least certificate over all start flags, automorphism group order)."""
-    if fg.n_flags == 0 or fg.rank == 0:
-        return _cert_header(fg), 1
-    best = None
-    base = None
-    aut = 0
-    for _, cert in _cert_scan(fg):
-        if base is None:
-            base = cert
-        if cert == base:
-            aut += 1
-        if best is None or cert < best:
-            best = cert
-    return _cert_header(fg) + best, aut
-
-
 def is_regular(p: Polytope) -> bool:
-    """Flag-transitivity of the combinatorial automorphism group.
-
-    Scans certificates with an early exit on the first orbit split; a
-    completed scan also yields the canonical certificate for free.
-    """
-    if p._aut is not None:
-        return p._aut == p.n_flags
-    if p._transitive is None:
-        if p.rank == 0:
-            p._transitive = True
-        else:
-            base = None
-            transitive = True
-            for _, cert in _cert_scan(p.fg):
-                if base is None:
-                    base = cert
-                elif cert != base:
-                    transitive = False
-                    break
-            p._transitive = transitive
-            if transitive:
-                p._aut = p.n_flags
-                p._cert = _cert_header(p.fg) + base
-    return p._transitive
+    """Flag-transitivity of the combinatorial automorphism group, from the
+    certificates of flag 0 and of its rank neighbours (rank+1 BFS runs)."""
+    if p._regular is None:
+        adj = [a.tolist() for a in p.fg.adj]
+        base = _certificate_from(adj, 0) if adj else b""
+        p._regular = all(_certificate_from(adj, a[0]) == base for a in adj)
+        if p._regular:
+            p._cert, p._aut = _cert_header(p.fg) + base, p.n_flags
+    return p._regular
 
 
 def are_isomorphic(p1: Polytope, p2: Polytope) -> bool:
@@ -505,13 +434,16 @@ def section(p: Polytope, upper: tuple[int, int] | None, lower: tuple[int, int] |
 class SectionProfile:
     """Multisets of section isomorphism classes per rank pair (i, j), j >= i+2.
 
-    classes[(i, j)] maps a canonical certificate to the number of sections in
-    that isomorphism class.  Rank-1 sections are diamonds by the time this is
-    computed, so only pairs with j >= i+3 are materialized; pairs with
-    j == i+2 are recorded as a single class.
+    classes[(i, j)] maps a class key to the number of sections in that
+    isomorphism class.  Rank-1 sections are diamonds once the diamond axiom
+    holds, and a rank-2 section is a polygon, fixed by its flag count, which
+    is its key; neither is built.  The pair (-1, rank) is the polytope itself.
+    Every other section is built once, kept in sections[(i, j)] in the order
+    of its faces, and keyed by its canonical certificate.
     """
 
-    classes: dict[tuple[int, int], dict[bytes, int]]
+    classes: dict[tuple[int, int], dict[bytes | int, int]]
+    sections: dict[tuple[int, int], list[Polytope]]
 
     def is_section_regular(self) -> bool:
         return all(len(v) <= 1 for v in self.classes.values())
@@ -522,58 +454,32 @@ class SectionProfile:
 
 
 def section_profile(p: Polytope) -> SectionProfile:
-    classes: dict[tuple[int, int], dict[bytes, int]] = {}
-    diamond_cert = b"diamond"
+    classes: dict[tuple[int, int], dict[bytes | int, int]] = {}
+    sections: dict[tuple[int, int], list[Polytope]] = {}
     for i in range(-1, p.rank - 1):
         for j in range(i + 2, p.rank + 1):
-            counter: dict[bytes, int] = {}
-            classes[(i, j)] = counter
+            if (i, j) == (-1, p.rank):
+                classes[(i, j)] = {b"whole": 1}
+                continue
+            rows, flags = _incident_pairs(p, i, j)
             if j == i + 2:
-                # rank-1 sections are diamonds once the diamond axiom holds
-                counter[diamond_cert] = _count_incident_pairs(p, i, j)
-                continue
-            if _count_incident_pairs(p, i, j) == 1:
-                # a single section is a singleton class whatever it is
-                counter[b"singleton"] = 1
-                continue
-            for up, lo in _incident_pairs(p, i, j):
-                s = section(p, up, lo)
-                c = s.certificate
-                counter[c] = counter.get(c, 0) + 1
-    return SectionProfile(classes)
+                classes[(i, j)] = {b"diamond": len(rows)}
+            elif j == i + 3:
+                classes[(i, j)] = Counter(flags.tolist())
+            else:
+                built = sections[(i, j)] = [
+                    section(p, (j, int(row[-1])) if j < p.rank else None,
+                            (i, int(row[0])) if i >= 0 else None) for row in rows]
+                classes[(i, j)] = Counter(s.certificate for s in built)
+    return SectionProfile(classes, sections)
 
 
-def _pair_rows(p: Polytope, i: int, j: int) -> np.ndarray:
-    cols = []
-    if i >= 0:
-        cols.append(p.face_of_flag[:, i])
-    if j < p.rank:
-        cols.append(p.face_of_flag[:, j])
-    if not cols:
-        return np.zeros((p.n_flags, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
-
-
-def _count_incident_pairs(p: Polytope, i: int, j: int) -> int:
-    rows = _pair_rows(p, i, j)
-    if rows.shape[1] == 0:
-        return 1
-    return len(np.unique(rows, axis=0))
-
-
-def _incident_pairs(p: Polytope, i: int, j: int):
-    rows = _pair_rows(p, i, j)
-    if rows.shape[1] == 0:
-        yield None, None
-        return
-    for row in np.unique(rows, axis=0):
-        col = 0
-        lo = None
-        if i >= 0:
-            lo = (i, int(row[col]))
-            col += 1
-        up = (j, int(row[col])) if j < p.rank else None
-        yield up, lo
+def _incident_pairs(p: Polytope, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The incident faces G, F of ranks i < j other than the virtual ones,
+    one sorted row (G, F) per section F/G, and each section's flag count."""
+    ends = [k for k in (i, j) if 0 <= k < p.rank]
+    chains = np.unique(p.face_of_flag[:, ends + list(range(i + 1, j))], axis=0)
+    return np.unique(chains[:, :len(ends)], axis=0, return_counts=True)
 
 
 def is_section_regular(p: Polytope) -> bool:

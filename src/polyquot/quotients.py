@@ -13,6 +13,7 @@ the ground truth.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from . import catalog
 from .permgroups import (MarkedGroup, Subgroup, SubgroupClass,
                          enumerate_subgroups_within)
-from .polytopes import (FacePoset, FlagGraph, Polytope, is_polytopal,
-                        is_regular, polytope_from_group, section,
+from .polytopes import (FacePoset, FlagGraph, Polytope, SectionProfile,
+                        is_polytopal, is_regular, polytope_from_group,
                         section_profile)
 
 
@@ -294,22 +295,11 @@ class ClassificationReport:
         }
 
 
-def _rank3_section_classes(p: Polytope, which: str) -> dict[str, int]:
-    """Catalog names of facet sections ('facets') or vertex-figure sections
-    ('vfigs'), as a name -> count multiset."""
-    out: dict[str, int] = {}
-    if which == "facets":
-        faces = range(p.counts[p.rank - 1])
-        for f in faces:
-            s = section(p, (p.rank - 1, f), None)
-            name = catalog.identify(s)
-            out[name] = out.get(name, 0) + 1
-    else:
-        for v in range(p.counts[0]):
-            s = section(p, None, (0, v))
-            name = catalog.identify(s)
-            out[name] = out.get(name, 0) + 1
-    return out
+def _rank3_section_classes(p: Polytope, prof: SectionProfile) -> tuple[dict[str, int], ...]:
+    """Catalog names of the facets and of the vertex figures, each as a
+    name -> count multiset, read from the sections the profile built."""
+    return tuple(dict(Counter(catalog.identify(s) for s in prof.sections[pair]))
+                 for pair in ((-1, p.rank - 1), (0, p.rank)))
 
 
 def classify_quotients(g: MarkedGroup, universal_name: str,
@@ -328,6 +318,7 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
         sect_reg = prof.is_section_regular()
         if regular and not sect_reg:
             raise AssertionError("regular quotient failed section regularity")
+        facet_classes, vfig_classes = _rank3_section_classes(qp, prof)
         records.append(QuotientRecord(
             subgroup=cls.rep,
             class_size=cls.size,
@@ -335,8 +326,8 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
             is_normal=normal,
             is_regular=regular,
             is_section_regular=sect_reg,
-            facet_classes=_rank3_section_classes(qp, "facets"),
-            vfig_classes=_rank3_section_classes(qp, "vfigs"),
+            facet_classes=facet_classes,
+            vfig_classes=vfig_classes,
             type_symbol=qp.schlafli_type(),
         ))
     records.sort(key=lambda r: (r.subgroup_order, tuple(r.subgroup.elem_ids)))

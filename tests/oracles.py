@@ -5,6 +5,8 @@ deliberately separate from the library's table-based algorithms so the two
 routes can disagree.
 """
 
+from array import array
+from collections import deque
 from itertools import permutations, product
 
 
@@ -160,3 +162,37 @@ def conjugacy_partition(subgroups, elems):
         classes.append(cls)
         remaining -= cls
     return classes
+
+
+def all_starts_certificate(adj):
+    """The flag-graph certificate by exhaustive scan: (header + the
+    lexicographically least BFS relabelling over every start flag, number of
+    starts whose relabelling equals flag 0's).
+
+    `adj` lists the adjacency involutions as flag sequences; the bytes use the
+    library's layout (a repr'd (rank, flags) header, then int64 labels) so the
+    two can be compared directly.
+    """
+    adj = [[int(x) for x in a] for a in adj]
+    n = len(adj[0]) if adj else 1
+    header = repr((len(adj), n)).encode()
+    if not adj:
+        return header, 1
+    certs = [_bfs_relabelling(adj, s) for s in range(n)]
+    return header + min(certs), certs.count(certs[0])
+
+
+def _bfs_relabelling(adj, start):
+    """Label flags in BFS order (neighbours by rank, parents by label) and
+    list each adjacency's images in the new labels."""
+    label = {start: 0}
+    queue = deque([start])
+    order = []
+    while queue:
+        f = queue.popleft()
+        order.append(f)
+        for a in adj:
+            if a[f] not in label:
+                label[a[f]] = len(label)
+                queue.append(a[f])
+    return array("q", [label[a[f]] for a in adj for f in order]).tobytes()

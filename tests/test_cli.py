@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from polyquot.cli import main
 
 
@@ -154,3 +156,18 @@ def test_non_integer_env_max_cosets_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("POLYQUOT_MAX_COSETS", "abc")
     code, _, err = run(capsys, "catalog")
     assert code == 3 and err.startswith("usage error:")
+
+
+def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
+    from polyquot import amalgam
+    from polyquot.coset import CLOSED, CosetTable
+
+    def two_swapped_cosets(pres, subgroup_words=(), max_cosets=None):
+        # breaks the odd-length Petrie relator of the hemicross vertex figure
+        rows = np.array([[1] * pres.rank, [0] * pres.rank], dtype=np.int32)
+        return CosetTable(pres, (), rows, CLOSED, 2)
+
+    monkeypatch.setattr(amalgam, "coset_enumeration", two_swapped_cosets)
+    code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross")
+    assert code == 1
+    assert err.startswith("verification mismatch:") and "Traceback" not in err

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyquot.catalog import SchlafliSymbol, coxeter_presentation, petrie_relator
-from polyquot.coset import CLOSED, EXCEEDED, coset_enumeration, perm_rep
+from polyquot.coset import (CLOSED, EXCEEDED, CosetTable, RelatorMismatch,
+                            coset_enumeration, perm_rep)
 from polyquot.presentations import Presentation
 
 from oracles import mulclose, signed_permutation_group, full_icosahedral_order
@@ -116,3 +117,12 @@ def test_determinism(symbol):
     t1 = coset_enumeration(cox(*symbol))
     t2 = coset_enumeration(cox(*symbol))
     assert np.array_equal(t1.table, t2.table)
+
+
+def test_perm_rep_rejects_a_table_that_breaks_a_relator():
+    # two cosets swapped by every generator: the even Coxeter relators hold,
+    # the Petrie relator (s0 s1 s2)^3 of odd length does not
+    pres = cox(4, 3).with_relators([petrie_relator(3)])
+    table = CosetTable(pres, (), np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int32), CLOSED, 2)
+    with pytest.raises(RelatorMismatch, match="not satisfied"):
+        perm_rep(table)

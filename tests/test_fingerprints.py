@@ -1,0 +1,41 @@
+"""The JSON reports stay byte-identical across refactors.
+
+sha256 of `polyquot quotients --facet F --vfig V --format json` for each
+desk-scale case and of `polyquot table1 --format json`, as recorded in
+CHANGES.md.  The quotient reports come from the session workspace, so nothing
+is classified twice.
+"""
+
+import hashlib
+
+import pytest
+
+from polyquot.amalgam import case_spec
+from polyquot.cli import _dumps, main
+
+QUOTIENTS_SHA256 = {
+    7: "3f7a36da9bbd9f8791b9ddd93a2e98e444d4f19a98d73a55111d2127316bb875",
+    10: "8810ffb9bfed5be00a445f01ec2b7fd95224a94b27da63bc35fb754ca0df4ad2",
+    11: "0688af2c109b4869c5c37b8f4151c3e43b2c16e736e2984927717e6d056374c2",
+    12: "26b0c4026b1821df04d87cee84822debfe4ce1c694d25ff6dab0fd5dd85ccd19",
+    13: "01eed961de4649cf35cc23d4fa1b5774064495181b370694d5597af04d9e354a",
+    19: "2a726e97faff0da9ad9014d160aad7f09a36c4115c4cd1b59c22472bf6364c7e",
+    21: "9a64d39fac405eac901d262c642eb35bd793fa89772205cb9493ad8a0c34d1ce",
+}
+TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b03657366042"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(QUOTIENTS_SHA256))
+def test_quotients_json_fingerprint(ws, case):
+    js = ws.report(case).to_json()
+    js["universal"] = case_spec(case).amalgam().name  # the CLI's name for the report
+    assert _sha256(_dumps(js)) == QUOTIENTS_SHA256[case]
+
+
+def test_table1_json_fingerprint(capsys):
+    assert main(["table1", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == TABLE1_SHA256

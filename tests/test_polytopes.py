@@ -1,14 +1,21 @@
+from collections import defaultdict
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyquot.catalog import entry_by_name
+from polyquot.amalgam import build_universal, case_spec
+from polyquot.catalog import dihedron, entry_by_name, hosohedron
 from polyquot.permgroups import MarkedGroup
-from polyquot.polytopes import (FacePoset, Polytope, are_isomorphic, dual,
-                                flag_graph_from_group,
+from polyquot.polytopes import (FacePoset, FlagGraph, Polytope, are_isomorphic,
+                                dual, flag_graph_from_group,
                                 flag_graph_dot, hasse_dot, intersection_condition,
-                                is_polytopal, is_regular, polytope_json,
-                                section, section_profile)
+                                is_polytopal, is_regular, polytope_from_group,
+                                polytope_json, section, section_profile)
 from polyquot.quotients import quotient_polytope
+
+from oracles import all_starts_certificate
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +225,86 @@ def test_facet_vertex_count_identities(ws):
         vertex_stab = g.parabolic(range(1, g.rank))
         assert p.counts[-1] == g.order // facet_stab.order
         assert p.counts[0] == g.order // vertex_stab.order
+
+
+def test_intersection_condition_evaluated_once_per_group(monkeypatch):
+    calls = []
+    parabolic = MarkedGroup.parabolic
+
+    def counting(self, gen_indices):
+        calls.append(tuple(gen_indices))
+        return parabolic(self, gen_indices)
+
+    monkeypatch.setattr(MarkedGroup, "parabolic", counting)
+    res = build_universal(case_spec(11).amalgam())
+    during_build = len(calls)
+    polytope_from_group(res.group)
+    assert during_build >= 2 ** res.group.rank
+    assert len(calls) == during_build
+
+
+# -- certificates against the all-starts oracle ---------------------------------
+
+
+def _polytopes(ws, data):
+    """A quotient of case 7, 10 or 11, or a dihedron or hosohedron."""
+    quotients = [r.polytope for case in (7, 10, 11) for r in ws.report(case).records]
+    degenerate = st.builds(lambda family, p: family(p).polytope(),
+                           st.sampled_from([dihedron, hosohedron]), st.integers(2, 12))
+    return data.draw(st.one_of(st.sampled_from(quotients), degenerate))
+
+
+@cache
+def _oracle(p):
+    return all_starts_certificate(p.fg.adj)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_certificate_invariant_under_relabelling(ws, data):
+    p = _polytopes(ws, data)
+    sigma = np.array(data.draw(st.permutations(range(p.n_flags))))
+    adj = []
+    for a in p.fg.adj:
+        b = np.empty_like(a)
+        b[sigma] = sigma[a]  # flag x becomes sigma[x]
+        adj.append(b)
+    q = Polytope(FlagGraph(adj))
+    assert q.certificate == p.certificate
+    assert (is_regular(q), q.aut_order) == (is_regular(p), p.aut_order)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_certificate_and_regularity_agree_with_oracle(ws, data):
+    p = _polytopes(ws, data)
+    cert, ties = _oracle(p)
+    assert p.certificate == cert
+    assert p.aut_order == ties
+    assert is_regular(p) == (ties == p.n_flags)
+
+
+def _faces(p, rank):
+    """Arguments naming every face of a rank, the virtual ones as None."""
+    if rank in (-1, p.rank):
+        return [None]
+    return [(rank, f) for f in range(p.counts[rank])]
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_polygon_classes_match_oracle_certificates(ws, data):
+    p = _polytopes(ws, data)
+    prof = section_profile(p)
+    for i in range(-1, p.rank - 2):
+        j = i + 3
+        flags_by_cert = defaultdict(list)
+        for up in _faces(p, j):
+            for lo in _faces(p, i):
+                try:
+                    s = section(p, up, lo)
+                except ValueError:  # not incident
+                    continue
+                flags_by_cert[all_starts_certificate(s.fg.adj)[0]].append(s.n_flags)
+        assert all(len(set(flags)) == 1 for flags in flags_by_cert.values())
+        assert {flags[0]: len(flags) for flags in flags_by_cert.values()} == prof.classes[(i, j)]

@@ -213,3 +213,21 @@ def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
     monkeypatch.setattr(pq, "quotient_candidate", counting_candidate)
     assert pq.classify_quotients(ws.universal(10).group, "case10").total_quotients == 4
     assert calls["candidates"] == calls["classes"] > 4
+
+
+def test_case10_builds_each_facet_and_vertex_figure_once(ws, monkeypatch):
+    from polyquot import polytopes, quotients as pq
+
+    section = polytopes.section
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return section(*args)
+
+    for module in (polytopes, pq):
+        if hasattr(module, "section"):
+            monkeypatch.setattr(module, "section", counting)
+    rep = pq.classify_quotients(ws.universal(10).group, "case10")
+    faces = sum(r.polytope.counts[0] + r.polytope.counts[-1] for r in rep.records)
+    assert len(calls) == faces == 34
