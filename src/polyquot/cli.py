@@ -20,7 +20,7 @@ from .permgroups import BoundExceeded
 from .polytopes import flag_graph_dot, hasse_dot, polytope_json
 from .presentations import format_presentation
 from .quotients import classify_quotients, quotient_lattice_dot
-from .verify import EXPECTED_QUOTIENTS, Workspace, run_criteria
+from .verify import CRITERIA, EXPECTED_QUOTIENTS, Workspace, run_criteria
 
 
 class UsageError(Exception):
@@ -103,7 +103,7 @@ def _amalgam_from_args(args) -> AmalgamSpec:
         facet = catalog.entry_by_name(args.facet)
         vfig = catalog.entry_by_name(args.vfig)
     except KeyError as e:
-        raise UsageError(str(e))
+        raise UsageError(e.args[0])
     try:
         return AmalgamSpec(facet, vfig)
     except ValueError as e:
@@ -207,8 +207,11 @@ def cmd_table1(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    ws = Workspace(cfg)
     only = args.case
+    if only is not None and only not in CRITERIA and not (only == 13 and cfg.stretch):
+        raise UsageError(f"no criterion {only}: choose {min(CRITERIA)}-{max(CRITERIA)}, "
+                         "or 13 with --stretch")
+    ws = Workspace(cfg)
     rows = run_criteria(ws, only=only, stretch=cfg.stretch)
     lines = []
     failed = 0
@@ -228,7 +231,7 @@ def cmd_export(args) -> int:
         try:
             p = catalog.entry_by_name(args.entry).polytope()
         except KeyError as e:
-            raise UsageError(str(e))
+            raise UsageError(e.args[0])
         name = args.entry
     else:
         if not (args.facet and args.vfig):

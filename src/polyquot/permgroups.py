@@ -4,20 +4,28 @@ A MarkedGroup is a concrete permutation group together with its ordered list
 of distinguished involutory generators (the s_i of a string group).  Elements
 are enumerated exhaustively (desk scale: orders up to ~10^4) by one
 breadth-first search, which also records the right Cayley graph: for each
-element and generator, the element their product is.  One sort then numbers
-the elements in lexicographic order of their image arrays, so element ids,
-subgroup representatives and report orderings are reproducible across runs.
-The sorted image arrays are the only element index: membership is a binary
-search over them, and the generators' rows of the dense right-multiplication
-table are the Cayley graph renumbered.  That table makes products,
-conjugation, subgroup closure and coset labelling single numpy gathers.
+element and generator, the element their product is.  The search writes the
+image arrays into one int32 buffer that grows by doubling, and finds a row
+again through a dict keyed on its first 16 images, chaining the rows that
+share a key and confirming a hit by comparing the whole row; so it keeps no
+per-element row object, only a short key.  One sort then numbers the elements in
+lexicographic order of their image arrays, so element ids, subgroup
+representatives and report orderings are reproducible across runs.  The
+sorted image arrays are the only element index: membership is a binary search
+over them, and the generators' rows of the dense right-multiplication table
+are the Cayley graph renumbered.  That table makes products, conjugation,
+subgroup closure and coset labelling single numpy gathers.
 
 Subgroup-class enumeration uses cyclic extension (prime-index extensions
 inside the normalizer) plus joins with odd-prime-power cyclic subgroups.
 Cyclic extension alone reaches exactly the soluble subgroups; the odd joins
 bridge to perfect subgroups (A_5 inside L_2(11), L_2(19), 2^6:A_5), since any
 subgroup is generated by its Sylow subgroups and odd Sylows are generated by
-odd-order cyclic subgroups of prime-power order.
+odd-order cyclic subgroups of prime-power order.  A class representative H
+is generated by its recorded generators, so the join of H with a cyclic
+subgroup <z> is the closure of those generators and z: one frontier BFS of
+table gathers (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+section 10).
 """
 
 from __future__ import annotations
@@ -128,29 +136,34 @@ class MarkedGroup:
     def _enumerate(self):
         if self._elements is not None:
             return
-        ident = identity_perm(self.degree)
-        position = {ident.tobytes(): 0}  # BFS position of each element
-        elems = [ident]
-        cayley = []  # BFS position of elems[k] * gens[i], at k * rank + i
-        k = 0
-        while k < len(elems):
-            p = elems[k]
+        head = min(self.degree, 16)
+        buf = np.empty((64, self.degree), dtype=np.int32)  # BFS rows; grows by doubling
+        buf[0] = identity_perm(self.degree)
+        last = {buf[0, :head].tobytes(): 0}  # head key -> last BFS position with it
+        same = [-1]  # same[j] = previous BFS position with the head of row j, or -1
+        cayley = []  # BFS position of row k * gens[i], at k * rank + i
+        n, k = 1, 0  # rows found, rows expanded
+        while k < n:
             for g in self.gens:
-                q = g[p]
-                key = q.tobytes()
-                j = position.get(key)
-                if j is None:
-                    if len(elems) >= self.order_limit:
+                q = g[buf[k]]
+                key = q[:head].tobytes()
+                j = last.get(key, -1)
+                while j >= 0 and not np.array_equal(buf[j], q):
+                    j = same[j]
+                if j < 0:
+                    if n >= self.order_limit:
                         raise BoundExceeded(
                             f"group order exceeds enumeration limit {self.order_limit}")
-                    j = position[key] = len(elems)
-                    elems.append(q)
+                    if n == len(buf):
+                        buf = np.concatenate([buf, np.empty_like(buf)])
+                    buf[n] = q
+                    same.append(last.get(key, -1))
+                    last[key] = j = n
+                    n += 1
                 cayley.append(j)
             k += 1
-        del position
-        mat = np.array(elems, dtype=np.int32)
-        del elems
-        n = len(mat)
+        del last, same
+        mat = buf[:n]
         # big-endian unsigned bytes compare like the numeric image tuple
         rows = mat.astype(">u4").view(f"V{4 * self.degree}").ravel()
         by_id = np.argsort(rows)  # BFS position of each element id
@@ -300,7 +313,9 @@ class MarkedGroup:
                 if fresh.size:
                     seen[fresh] = True
                     new.append(fresh)
-            frontier = np.unique(np.concatenate(new)) if new else np.empty(0, dtype=np.int64)
+            # right multiplication is a bijection and `seen` is updated after
+            # each generator, so the pieces of a level are already disjoint
+            frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
         return np.flatnonzero(seen).astype(np.int32)
 
     def subgroup(self, gen_ids) -> "Subgroup":
@@ -523,38 +538,10 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> li
     queue.append(first)
 
     def coset_reduced(cands: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """Keep one candidate per coset H*c (the one equal to min of its coset)."""
-        if cands.size == 0:
-            return cands
-        keep = []
-        seen = set()
-        for c in cands:
-            m = int(R[int(c)][H.astype(np.int64)].min())
-            if m not in seen:
-                seen.add(m)
-                keep.append(c)
-        return np.asarray(keep)
-
-    def join(H: np.ndarray, h_gens: tuple[int, ...], z_gen: int) -> tuple[np.ndarray, tuple[int, ...]] | None:
-        gens2 = tuple(h_gens) + (z_gen,)
-        Hl = H.astype(np.int64)
-        rep0 = 0
-        seen = {rep0}
-        repslist = [rep0]
-        qq = deque([rep0])
-        while qq:
-            r = qq.popleft()
-            for ge in gens2:
-                x = int(R[ge, r])
-                c = int(R[x][Hl].min())
-                if c not in seen:
-                    seen.add(c)
-                    repslist.append(c)
-                    qq.append(c)
-        K = np.unique(R[np.ix_(np.asarray(repslist, dtype=np.int64), Hl)])
-        if allowed is not None and not allowed[K].all():
-            return None
-        return K.astype(np.int32), gens2
+        """Keep one candidate per coset H*c: the first one met."""
+        mins = R[np.ix_(cands, H)].min(axis=1)
+        first = np.unique(mins, return_index=True)[1]
+        return cands[np.sort(first)]
 
     while queue:
         cls = queue.popleft()
@@ -587,20 +574,19 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> li
         # odd-zuppo joins (reach non-soluble subgroups)
         if zup.odd:
             # orbit representatives of zuppos under N(H)
-            seen_orbit = set()
+            seen_orbit = np.zeros(len(zup.sets), dtype=bool)
             invN = g.inv_ids[N]
             for z in zup.odd:
-                if z in seen_orbit:
+                if seen_orbit[z]:
                     continue
                 e = zup.gen_elem[z]
-                orbit = zup.of_elem[R[N, R[e][invN]]]
-                seen_orbit.update(int(o) for o in orbit)
+                seen_orbit[zup.of_elem[R[N, R[e][invN]]]] = True
                 if in_H[zup.sets[z]].all():
                     continue
-                res = join(H, h_gens, e)
-                if res is None:
+                gens2 = h_gens + (e,)
+                K = g.closure_ids(gens2)  # H = <h_gens>, so K = <H, e>
+                if allowed is not None and not allowed[K].all():
                     continue
-                K, gens2 = res
                 new = register(K, gens2)
                 if new is not None:
                     queue.append(new)

@@ -274,68 +274,58 @@ def is_polytopal(poset: FacePoset) -> tuple[bool, str | None]:
         if bad.size:
             return False, f"diamond: a rank-1 section between ranks {i - 1} and {i + 1} has {int(bad[0])} faces"
     # strong connectivity: every section of rank >= 2 is connected
-    if not _strongly_connected(poset, mats):
+    if not _strongly_connected(mats):
         return False, "connected: some section of rank >= 2 is disconnected"
     return True, None
 
 
-def _strongly_connected(poset: FacePoset, mats) -> bool:
-    n = poset.rank
-    # reach[i][j]: boolean reachability between rank-i and rank-j faces (virtual
-    # ranks included as index 0 and n+1)
+def _strongly_connected(mats) -> bool:
+    """Every section of rank >= 2 is connected.
+
+    All sections G < F with G at chain index i and F at chain index j are
+    tested in one pass: the nodes are (section, face) pairs of the open
+    interval, the edges are the consecutive incidences inside one section,
+    and min-label propagation finds the components.  Chain index 0 is the
+    least face, index k the rank-(k-1) faces and the last the greatest face.
+    """
+    top = len(mats)
+    # reach[(i, j)]: boolean reachability between index-i and index-j faces
     reach = {}
-    for i in range(len(mats)):
+    for i in range(top):
         reach[(i, i + 1)] = mats[i]
-        for j in range(i + 2, len(mats) + 1):
+        for j in range(i + 2, top + 1):
             reach[(i, j)] = (reach[(i, j - 1)].astype(np.int32) @ mats[j - 1].astype(np.int32)) > 0
-    for i in range(len(mats) + 1):
-        for j in range(i + 3, len(mats) + 1):
-            lowers = 1 if i == 0 else poset.counts[i - 1]
-            uppers = 1 if j == len(mats) else poset.counts[j - 1]
-            for a in range(lowers):
-                for b in range(uppers):
-                    if i > 0 and j < len(mats) and not reach[(i, j)][a, b]:
-                        continue
-                    if not _section_connected(poset, mats, reach, i, j, a, b):
-                        return False
+    for i in range(top + 1):
+        for j in range(i + 3, top + 1):
+            lo, hi = np.nonzero(reach[(i, j)])  # one section per incident pair
+            # member[k][s, f]: face f at index i+1+k lies in section s
+            member = [reach[(i, k)][lo] & reach[(k, j)][:, hi].T for k in range(i + 1, j)]
+            node, count = [], 0
+            for m in member:
+                ids = np.full(m.shape, -1, dtype=np.int64)
+                ids[m] = count + np.arange(m.sum())
+                count += int(m.sum())
+                node.append(ids)
+            us, vs = [], []
+            for k in range(len(member) - 1):
+                f, f2 = np.nonzero(mats[i + 1 + k])
+                s, e = np.nonzero(member[k][:, f] & member[k + 1][:, f2])
+                us.append(node[k][s, f[e]])
+                vs.append(node[k + 1][s, f2[e]])
+            u, v = np.concatenate(us), np.concatenate(vs)
+            lab = np.arange(count)
+            while True:
+                nl = lab.copy()
+                np.minimum.at(nl, u, lab[v])
+                np.minimum.at(nl, v, lab[u])
+                nl = nl[nl]
+                if np.array_equal(nl, lab):
+                    break
+                lab = nl
+            # G < F puts a face of every interior index in the section
+            if len(np.unique(lab)) != len(lo):
+                return False
     return True
-
-
-def _section_connected(poset, mats, reach, i, j, a, b) -> bool:
-    # faces of the open section between rank index i (face a) and j (face b)
-    members = []
-    for k in range(i + 1, j):
-        sel = np.ones(poset.counts[k - 1], dtype=bool)
-        if i > 0:
-            sel &= reach[(i, k)][a]
-        if j < len(mats):
-            sel &= reach[(k, j)][:, b]
-        members.append(np.flatnonzero(sel))
-    total = sum(len(m) for m in members)
-    if total == 0:
-        return True
-    # union-find over the section's faces along consecutive incidences
-    offs = np.cumsum([0] + [len(m) for m in members])
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for k in range(len(members) - 1):
-        lower, upper = members[k], members[k + 1]
-        sub = mats[i + 1 + k][np.ix_(lower, upper)]
-        for li, ui in zip(*np.nonzero(sub)):
-            union(offs[k] + int(li), offs[k + 1] + int(ui))
-    roots = {find(x) for x in range(total)}
-    return len(roots) == 1
 
 
 # ---------------------------------------------------------------------------

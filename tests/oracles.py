@@ -196,3 +196,46 @@ def _bfs_relabelling(adj, start):
                 label[a[f]] = len(label)
                 queue.append(a[f])
     return array("q", [label[a[f]] for a in adj for f in order]).tobytes()
+
+
+def strongly_connected(counts, mats):
+    """Whether every section of rank >= 2 of a ranked poset is connected, by
+    one union-find per section.
+
+    `counts[k]` is the number of rank-k faces and `mats[k][a][b]` says whether
+    rank-k face a lies below rank-(k+1) face b, as in `FacePoset`; the least
+    and greatest faces are added here.  Faces are (chain index, face) pairs,
+    chain index 0 being the least face and the last the greatest.
+    """
+    sizes = [1] + list(counts) + [1]
+    top = len(sizes) - 1
+    covers = {}  # (t, a) -> faces at index t + 1 above face a at index t
+    for t in range(top):
+        for a in range(sizes[t]):
+            covers[(t, a)] = [
+                (t + 1, b) for b in range(sizes[t + 1])
+                if t == 0 or t == top - 1 or mats[t - 1][a][b]]
+    above = {(top, 0): set()}
+    for t in range(top - 1, -1, -1):
+        for a in range(sizes[t]):
+            above[(t, a)] = set().union(*([{c} | above[c] for c in covers[(t, a)]]))
+    for lower, ups in above.items():
+        for upper in ups:
+            if upper[0] - lower[0] < 3:
+                continue
+            members = [f for f in ups if f[0] < upper[0] and upper in above[f]]
+            parent = {f: f for f in members}
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for f in members:
+                for c in covers[f]:
+                    if c in parent:
+                        parent[find(c)] = find(f)
+            if len({find(f) for f in members}) != 1:
+                return False
+    return True

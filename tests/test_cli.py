@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from polyquot.cli import main
 
@@ -53,6 +54,13 @@ def test_build_incompatible(capsys):
 def test_build_unknown_name(capsys):
     code, _, err = run(capsys, "build", "--facet", "frobnitz", "--vfig", "cube")
     assert code == 3
+    assert err == "usage error: unknown catalog entry 'frobnitz'\n"
+
+
+def test_export_unknown_entry(capsys):
+    code, _, err = run(capsys, "export", "--entry", "nope")
+    assert code == 3
+    assert err == "usage error: unknown catalog entry 'nope'\n"
 
 
 def test_build_exceeded_exit_code(capsys, monkeypatch):
@@ -95,6 +103,13 @@ def test_verify_single_criterion(capsys):
     code, out, _ = run(capsys, "verify", "--case", "1")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("case", ["99", "0", "13"])
+def test_verify_unknown_criterion_is_usage_error(capsys, case):
+    code, out, err = run(capsys, "verify", "--case", case)
+    assert code == 3 and out == ""
+    assert err == f"usage error: no criterion {case}: choose 1-12, or 13 with --stretch\n"
 
 
 def test_export_entry_json(capsys):

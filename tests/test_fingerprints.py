@@ -3,15 +3,20 @@
 sha256 of `polyquot quotients --facet F --vfig V --format json` for each
 desk-scale case and of `polyquot table1 --format json`, as recorded in
 CHANGES.md.  The quotient reports come from the session workspace, so nothing
-is classified twice.
+is classified twice.  The reports do not show the representatives' generators,
+so the masked subgroup lattice that the quotient search walks is fingerprinted
+too: class sizes, representative element ids and generator ids.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from polyquot.amalgam import case_spec
 from polyquot.cli import _dumps, main
+from polyquot.permgroups import enumerate_subgroups_within
+from polyquot.quotients import semisparse_allowed_mask
 
 QUOTIENTS_SHA256 = {
     7: "3f7a36da9bbd9f8791b9ddd93a2e98e444d4f19a98d73a55111d2127316bb875",
@@ -23,6 +28,11 @@ QUOTIENTS_SHA256 = {
     21: "9a64d39fac405eac901d262c642eb35bd793fa89772205cb9493ad8a0c34d1ce",
 }
 TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b03657366042"
+MASKED_LATTICE_SHA256 = {
+    7: "4263b9045f343a92f0e6093ed86e096d53a193efaefc64a958c7f7878eeb7954",
+    10: "4d1d9ea72078f63caf8a85024d02f657ac46c2db531b34e5945b2f1ceb5fa4b2",
+    21: "454d84a19129563892097843234155b6bcc0e69457321c1cedc0b6f0ff13d462",
+}
 
 
 def _sha256(text: str) -> str:
@@ -39,3 +49,11 @@ def test_quotients_json_fingerprint(ws, case):
 def test_table1_json_fingerprint(capsys):
     assert main(["table1", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == TABLE1_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(MASKED_LATTICE_SHA256))
+def test_masked_lattice_fingerprint(ws, case):
+    g = ws.universal(case).group
+    classes = enumerate_subgroups_within(g, semisparse_allowed_mask(g))
+    rows = [[c.size, c.rep.elem_ids.tolist(), list(c.rep.gen_ids)] for c in classes]
+    assert _sha256(json.dumps(rows)) == MASKED_LATTICE_SHA256[case]

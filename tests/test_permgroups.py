@@ -52,6 +52,13 @@ def test_order_limit():
         small.order
 
 
+def test_order_limit_is_exact():
+    assert _symmetric_on_tail(20).order == 24
+    assert MarkedGroup(20, _symmetric_on_tail(20).gens, order_limit=24).order == 24
+    with pytest.raises(BoundExceeded):
+        MarkedGroup(20, _symmetric_on_tail(20).gens, order_limit=23).order
+
+
 def test_is_member(cube):
     ident = np.arange(cube.degree)
     assert cube.element_id(ident) >= 0
@@ -76,6 +83,18 @@ def test_element_orders_computed_once(cube):
     assert cube.element_orders is cube.element_orders
 
 
+def _transposition(degree, a, b):
+    p = np.arange(degree)
+    p[[a, b]] = [b, a]
+    return p
+
+
+def _symmetric_on_tail(degree):
+    """Sym of the points from 16 on, as adjacent transpositions: every element
+    fixes points 0-15, so all rows share one element-lookup key."""
+    return MarkedGroup(degree, [_transposition(degree, a, a + 1) for a in range(16, degree - 1)])
+
+
 def _oracle_groups(ws):
     w = ws.universal(10).group
     return {
@@ -83,11 +102,14 @@ def _oracle_groups(ws):
         "case10-facet-parabolic": MarkedGroup(w.degree, w.gens[:3]),  # 48 on 192 points
         "twisted-hemicross": twisted_over(entry_by_name("hemicross")),
         "trivial": MarkedGroup(1, []),
+        "shared-key-s4": _symmetric_on_tail(20),  # order 24
+        "shared-key-s5": _symmetric_on_tail(21),  # order 120, past the first row buffer
     }
 
 
 @pytest.mark.parametrize("name", ["cube", "case10-facet-parabolic",
-                                  "twisted-hemicross", "trivial"])
+                                  "twisted-hemicross", "trivial",
+                                  "shared-key-s4", "shared-key-s5"])
 def test_tables_against_brute_force_products(ws, name):
     g = _oracle_groups(ws)[name]
     elems, index, rmul, inv, gen_ids = brute_force_products(g.degree, g.gens)

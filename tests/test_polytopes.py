@@ -1,5 +1,6 @@
 from collections import defaultdict
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from polyquot.polytopes import (FacePoset, FlagGraph, Polytope, are_isomorphic,
                                 flag_graph_dot, hasse_dot, intersection_condition,
                                 is_polytopal, is_regular, polytope_from_group,
                                 polytope_json, section, section_profile)
-from polyquot.quotients import quotient_polytope
+from polyquot.permgroups import enumerate_subgroups
+from polyquot.quotients import quotient_candidate, quotient_polytope
 
-from oracles import all_starts_certificate
+from oracles import all_starts_certificate, strongly_connected
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,69 @@ def test_is_polytopal_disconnected():
         [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]])
     ok, why = is_polytopal(poset)
     assert not ok and why.startswith("connected")
+
+
+def _poset_of_cells(cells, ditope=False):
+    """The faces of simplices glued along shared vertices: every nonempty
+    proper vertex subset of a cell, incident when one contains the other.
+    With `ditope`, two facets over all of it are added on top."""
+    ranks = [sorted({frozenset(s) for c in cells for s in combinations(sorted(c), r)}, key=sorted)
+             for r in range(1, max(len(c) for c in cells))]
+    if ditope:
+        ranks.append([frozenset().union(*cells)] * 2)
+    pairs = [[(a, b) for a, x in enumerate(lo) for b, y in enumerate(up) if x <= y]
+             for lo, up in zip(ranks, ranks[1:])]
+    return FacePoset.from_incidences([len(r) for r in ranks], pairs)
+
+
+TETRAHEDRON = [{0, 1, 2, 3}]
+PINCHED = [{0, 1, 2, 3}, {0, 4, 5, 6}]  # two tetrahedra sharing vertex 0
+
+
+@pytest.mark.parametrize("cells, ditope, ok", [
+    (TETRAHEDRON, False, True),
+    (TETRAHEDRON, True, True),
+    # every axiom holds but the vertex figure of 0, two triangles
+    (PINCHED, False, False),
+    # the same vertex figure as the middle section between vertex 0 and a
+    # facet; every section reaching the least or greatest face is connected
+    (PINCHED, True, False),
+])
+def test_connectivity_alone_fails(cells, ditope, ok):
+    poset = _poset_of_cells(cells, ditope)
+    assert strongly_connected(poset.counts, poset.mats) == ok
+    expected = (True, None) if ok else (False, "connected: some section of rank >= 2 is disconnected")
+    assert is_polytopal(poset) == expected
+
+
+@cache
+def _connectivity_posets():
+    """Hand-built posets and every quotient candidate of the cube."""
+    posets = [_poset_of_cells(c, d) for c in (TETRAHEDRON, PINCHED) for d in (False, True)]
+    posets.append(FacePoset.from_incidences(  # two disjoint digons
+        [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]))
+    g = entry_by_name("cube").group()
+    p = polytope_from_group(g)
+    posets += [quotient_candidate(p, g, c.rep.elem_ids).poset for c in enumerate_subgroups(g)]
+    return posets
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_polytopal_invariant_under_face_relabelling(data):
+    poset = data.draw(st.sampled_from(_connectivity_posets()))
+    sigma = [np.array(data.draw(st.permutations(range(c)))) for c in poset.counts]
+    mats = []
+    for k, m in enumerate(poset.mats):
+        r = np.empty_like(m)
+        r[np.ix_(sigma[k], sigma[k + 1])] = m  # face a of rank k becomes sigma[k][a]
+        mats.append(r)
+    ok, why = is_polytopal(FacePoset(list(poset.counts), mats))
+    ok0, why0 = is_polytopal(poset)
+    axiom = (why or "").split(":")[0]  # a diamond reason quotes the first bad count met
+    assert (ok, axiom) == (ok0, (why0 or "").split(":")[0])
+    if axiom in ("", "connected"):
+        assert ok == strongly_connected(poset.counts, mats)
 
 
 def test_quotient_by_reflection_rejected(cube_p):
