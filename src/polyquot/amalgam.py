@@ -180,15 +180,14 @@ def case_spec(number: int) -> CaseSpec:
     return TABLE1[number - 1]
 
 
-def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS, stretch: bool = False,
-                    skip_large: bool = True) -> dict[int, UniversalResult]:
+def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
+                    stretch: bool = False) -> dict[int, UniversalResult]:
     """One UniversalResult per Table 1 case.
 
-    Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; by
-    default they are reported as exceeded-limit without burning the full coset
-    budget.  With stretch=True case 20 is enumerated over its facet subgroup
-    (see `build_universal_over_facet`).  Case 22 is reported as by default
-    even then: its facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over
+    Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; they
+    are reported as exceeded-limit without burning the full coset budget.
+    With stretch=True case 20 is enumerated over its facet subgroup (see
+    `build_universal_over_facet`).  Case 22 is reported so even then: its facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over
     the stretch budget, and it is the dual of case 20.
     """
     out: dict[int, UniversalResult] = {}
@@ -197,7 +196,7 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS, stretch: bool = False,
         if case.number == 20 and stretch:
             out[case.number] = build_universal_over_facet(
                 case, max_cosets=max(max_cosets, STRETCH_MAX_COSETS))
-        elif case.number in LARGE_CASES and skip_large:
+        elif case.number in LARGE_CASES:
             out[case.number] = UniversalResult(spec, EXCEEDED, cosets_defined=0)
         else:
             out[case.number] = build_universal(spec, max_cosets=max_cosets)

@@ -53,11 +53,6 @@ class CosetTable:
         """Permutation of cosets induced by generator x."""
         return self.table[:, x]
 
-    def trace(self, coset: int, word) -> int:
-        for x in word:
-            coset = int(self.table[coset, x])
-        return coset
-
 
 class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
@@ -246,11 +241,19 @@ def perm_rep(table: CosetTable):
         raise ValueError(f"coset table is not closed (status {table.status!r})")
     gens = [np.array(table.column(x), dtype=np.int32) for x in range(table.rank)]
     g = MarkedGroup(table.n_cosets, gens)
-    start = np.arange(table.n_cosets)
-    for rel in table.presentation.relators:
-        img = start
+    rel = broken_relator(gens, table.presentation.relators)
+    if rel is not None:
+        raise RelatorMismatch(f"relator {rel} not satisfied by the induced permutations")
+    return g
+
+
+def broken_relator(gens, relators):
+    """The first relator that the generator permutations do not satisfy, or
+    None when they satisfy them all."""
+    for rel in relators:
+        img = start = np.arange(len(gens[0]))
         for x in rel:
             img = gens[x][img]
         if not np.array_equal(img, start):
-            raise RelatorMismatch(f"relator {rel} not satisfied by the induced permutations")
-    return g
+            return rel
+    return None

@@ -61,19 +61,28 @@ def as_perm(images, degree: int | None = None) -> np.ndarray:
     return p
 
 
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product p*q: apply p first, then q."""
-    return q[p]
-
-
-def inverse_perm(p: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=p.dtype)
-    return inv
-
-
 def is_involution(p: np.ndarray) -> bool:
     return bool(np.array_equal(p[p], np.arange(len(p))))
+
+
+def orbit_min_labels(perms, n: int) -> np.ndarray:
+    """lab[x] = least point of the orbit of x under the group the permutations
+    (image arrays on range(n)) generate.
+
+    Min-label propagation along every permutation, then pointer jumping
+    (lab = lab[lab]): lab[x] is always a point of x's orbit no larger than x,
+    so the labels only fall, and they stop exactly when each is constant on
+    its orbit, which makes it the orbit's least point.
+    """
+    lab = np.arange(n)
+    while True:
+        nl = lab
+        for p in perms:
+            nl = np.minimum(nl, nl[p])
+        nl = nl[nl]
+        if np.array_equal(nl, lab):
+            return lab
+        lab = nl
 
 
 def _ids_key(ids) -> bytes:
@@ -252,10 +261,6 @@ class MarkedGroup:
         self._build_tables()
         return self._inv
 
-    def right_action(self, elem_id: int) -> np.ndarray:
-        """Permutation of element ids induced by right multiplication."""
-        return self.rmul[elem_id]
-
     def mul(self, a, b):
         """Product of elements by id; either argument may be an id array."""
         return self.rmul[b, a]
@@ -322,41 +327,10 @@ class MarkedGroup:
         gen_ids = tuple(int(g) for g in gen_ids)
         return Subgroup(self, self.closure_ids(gen_ids), gen_ids)
 
-    def subgroup_from_perms(self, perms) -> "Subgroup":
-        ids = []
-        for p in perms:
-            i = self.element_id(p)
-            if i < 0:
-                raise ValueError("generator is not a member of the parent group")
-            ids.append(i)
-        return self.subgroup(ids)
-
     def parabolic(self, gen_indices) -> "Subgroup":
         """Subgroup generated by a subset of the distinguished generators."""
         gids = self.gen_ids
         return self.subgroup([gids[i] for i in gen_indices])
-
-    def coset_min_labels(self, sub_ids: np.ndarray, gen_ids=None) -> np.ndarray:
-        """For each element x, the least id in the right coset (sub)x.
-
-        Computed by min-label propagation under left multiplication by the
-        subgroup's generators (or by all its elements if no gens are given).
-        """
-        R = self.rmul
-        n = self.order
-        lab = np.arange(n)
-        if gen_ids is None:
-            gen_ids = sub_ids
-        cols = [R[:, int(g)] for g in gen_ids]  # col g at x = id of g * x
-        changed = True
-        while changed:
-            changed = False
-            for col in cols:
-                nl = np.minimum(lab, lab[col])
-                if not np.array_equal(nl, lab):
-                    lab = nl
-                    changed = True
-        return lab
 
 
 @dataclass
@@ -373,10 +347,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elem_ids)
-
-    @property
-    def gens(self) -> list[np.ndarray]:
-        return [self.parent.perm_of(i) for i in self.gen_ids]
 
     def key(self) -> bytes:
         return _ids_key(self.elem_ids)
@@ -419,8 +389,12 @@ def _conjugate_class_rows(g: MarkedGroup, ids: np.ndarray, transversal: np.ndarr
 
 
 def _class_transversal(g: MarkedGroup, sub: Subgroup) -> np.ndarray:
-    """One representative per right coset (sub)x; conjugation is constant on cosets."""
-    lab = g.coset_min_labels(sub.elem_ids, sub.gen_ids or None)
+    """One representative per right coset (sub)x; conjugation is constant on cosets.
+
+    The cosets are the orbits of left multiplication by the subgroup's
+    generators (by all its elements when none are recorded)."""
+    R = g.rmul
+    lab = orbit_min_labels([R[:, int(h)] for h in sub.gen_ids or sub.elem_ids], g.order)
     return np.unique(lab)
 
 

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .permgroups import MarkedGroup
+from .permgroups import MarkedGroup, orbit_min_labels
 
 
 # ---------------------------------------------------------------------------
@@ -56,28 +56,8 @@ class FlagGraph:
             for j in range(i + 2, self.rank):
                 if not np.array_equal(self.adj[i][self.adj[j]], self.adj[j][self.adj[i]]):
                     raise ValueError(f"{i}- and {j}-adjacencies do not commute")
-        if self.rank and not _connected(self.adj, n):
+        if self.rank and orbit_min_labels(self.adj, n).any():
             raise ValueError("flag graph is not connected")
-
-
-def _connected(adj, n) -> bool:
-    lab = _orbit_label_array(adj, n)
-    return bool((lab == lab[0]).all())
-
-
-def _orbit_label_array(adj, n) -> np.ndarray:
-    """Min-label propagation: lab[x] = least flag reachable from x."""
-    lab = np.arange(n)
-    changed = True
-    while changed:
-        changed = False
-        for a in adj:
-            nl = np.minimum(lab, lab[a])
-            nl = np.minimum(nl, nl[a])
-            if not np.array_equal(nl, lab):
-                lab = nl
-                changed = True
-    return lab
 
 
 def string_condition(g: MarkedGroup) -> bool:
@@ -106,15 +86,20 @@ def intersection_condition(g: MarkedGroup) -> bool:
     return g._intersection
 
 
-def flag_graph_from_group(g: MarkedGroup) -> FlagGraph:
-    """Coset-geometry flag graph: flags are group elements, i-adjacency is
-    right multiplication by s_i."""
+def require_polytope_group(g: MarkedGroup):
+    """Raise ValueError unless g is a string C-group, the automorphism group
+    of a regular polytope."""
     if not string_condition(g):
         raise ValueError("commuting relator check fails: not a string group")
     if not intersection_condition(g):
         raise ValueError("intersection condition fails: not a polytope group")
-    g._build_tables()
-    adj = [g.right_action(gid).astype(np.int32) for gid in g.gen_ids]
+
+
+def flag_graph_from_group(g: MarkedGroup) -> FlagGraph:
+    """Coset-geometry flag graph: flags are group elements, i-adjacency is
+    right multiplication by s_i."""
+    require_polytope_group(g)
+    adj = [g.rmul[gid].astype(np.int32) for gid in g.gen_ids]
     fg = FlagGraph(adj)
     fg.validate()
     return fg
@@ -164,7 +149,7 @@ class Polytope:
         self.counts = []
         for i in range(k):
             others = [a for j, a in enumerate(fg.adj) if j != i]
-            lab = _orbit_label_array(others, n)
+            lab = orbit_min_labels(others, n)
             uniq, inverse = np.unique(lab, return_inverse=True)
             self.face_of_flag[:, i] = inverse
             self.counts.append(len(uniq))

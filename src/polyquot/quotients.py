@@ -1,14 +1,26 @@
 """Semisparse subgroups, quotient polytopes and classification reports.
 
-Ground truth for semisparseness is the direct definition: quotient the face
-poset by the subgroup's orbits, test the polytopality axioms, and require the
-quotient's maximal chains to biject with the subgroup's flag orbits.  The
-candidate search is a subgroup-lattice search restricted to the elements that
-avoid every conjugate of s_i and of s_i s_j (|i-j| >= 2) - both conditions
-are necessary for a semisparse subgroup and elementwise, so the restriction
-loses nothing.  The product-set criterion (valid when the vertex figure has
-no proper quotients) is implemented as a fast path and cross-checked against
-the ground truth.
+A regular polytope P with group W has the elements of W as flags, the
+i-adjacency being right multiplication by s_i, and its rank-i faces are the
+cosets w*G_i with G_i = <s_j : j != i>.  A subgroup N acts on the left by
+automorphisms, since left and right multiplication commute, and P/N
+identifies the faces in one N-orbit: its rank-i faces are the double cosets
+N*w*G_i, two faces being incident when the double cosets meet.  The orbit
+flag graph builds exactly that poset.  Its flags are the orbits N*w, and
+N*w -> N*w*s_i is a well-defined i-adjacency.  The rank-i face through N*w,
+its orbit under the other adjacencies, is the set of orbits N*w*x with x in
+G_i, whose union is N*w*G_i.  Faces of the flag graph are numbered by least
+flag and flags by least element, so each face is numbered by the least
+element of its double coset.
+
+Ground truth for semisparseness is the direct definition on that poset: test
+the polytopality axioms and require its maximal chains to biject with the
+orbits.  The candidate search is a subgroup-lattice search restricted to the
+elements that avoid every conjugate of s_i and of s_i s_j (|i-j| >= 2) - both
+conditions are necessary for a semisparse subgroup and elementwise, so the
+restriction loses nothing.  The product-set criterion (valid when the vertex
+figure has no proper quotients) is implemented as a fast path and
+cross-checked against the ground truth.
 """
 
 from __future__ import annotations
@@ -19,125 +31,69 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .permgroups import (MarkedGroup, Subgroup, SubgroupClass,
-                         enumerate_subgroups_within)
-from .polytopes import (FacePoset, FlagGraph, Polytope, SectionProfile,
-                        is_polytopal, is_regular, polytope_from_group,
-                        section_profile)
+from .permgroups import (MarkedGroup, Subgroup, SubgroupClass, conjugates,
+                         enumerate_subgroups_within, product_set_intersect)
+from .polytopes import (FlagGraph, Polytope, SectionProfile, is_polytopal,
+                        is_regular, require_polytope_group, section_profile)
 
 
 # ---------------------------------------------------------------------------
 # quotient construction
 
 
-def _flag_orbits(g: MarkedGroup, n_ids: np.ndarray) -> np.ndarray:
-    """lab[w] = least element id in the left orbit N*w."""
-    M = g.rmul[:, n_ids.astype(np.int64)]  # M[w, k] = n_k * w
-    return M.min(axis=1).astype(np.int64)
+def quotient_candidate(g: MarkedGroup, n_ids: np.ndarray) -> Polytope:
+    """The orbit flag graph of P/N and the faces it derives.
+
+    Flags are the left orbits N*w, numbered by least element id; the
+    i-adjacency is N*w -> N*w*s_i.  The adjacencies are not validated: a
+    subgroup that is not semisparse can give fixed points.
+    """
+    require_polytope_group(g)
+    R = g.rmul
+    lab = R[:, n_ids.astype(np.int64)].min(axis=1)  # least id of N*w; R[w, n] = n*w
+    reps = np.unique(lab)
+    orbit = np.searchsorted(reps, lab)
+    return Polytope(FlagGraph([orbit[R[gid][reps]].astype(np.int32) for gid in g.gen_ids]))
 
 
-def _double_coset_labels(p: Polytope, orbit_lab: np.ndarray, rank: int) -> np.ndarray:
-    """Join of the flag-orbit partition and the rank-i face partition."""
-    face = p.face_of_flag[:, rank]
-    n = p.n_flags
-    q = orbit_lab.copy()
-    while True:
-        fm = np.full(p.counts[rank], n, dtype=np.int64)
-        np.minimum.at(fm, face, q)
-        q2 = np.minimum(q, fm[face])
-        om = np.full(n, n, dtype=np.int64)
-        np.minimum.at(om, orbit_lab, q2)
-        q2 = np.minimum(q2, om[orbit_lab])
-        if np.array_equal(q2, q):
-            return q
-        q = q2
+def _defect(q: Polytope) -> str | None:
+    """None if the candidate is a polytope whose maximal chains biject with
+    its flags, the N-orbits (the subgroup is semisparse); otherwise the first
+    failed requirement.  An accepted candidate's flag graph is validated."""
+    ok, why = is_polytopal(q.poset())
+    if not ok:
+        return why
+    if len(np.unique(q.face_of_flag, axis=0)) != q.n_flags:
+        return "flags: distinct orbits induce the same maximal chain"
+    chains = np.ones(q.counts[0], dtype=np.int64)
+    for m in q.mats:
+        chains = m.astype(np.int64).T @ chains
+    if int(chains.sum()) != q.n_flags:
+        return "flags: quotient has maximal chains not induced by any orbit"
+    q.fg.validate()
+    return None
 
 
-@dataclass
-class QuotientCandidate:
-    poset: FacePoset
-    face_of_flag: np.ndarray   # per original flag: quotient face index per rank
-    orbit_lab: np.ndarray      # per original flag: least flag of its orbit
-    orbit_reps: np.ndarray     # one flag per orbit
-
-    @property
-    def n_orbits(self) -> int:
-        return len(self.orbit_reps)
-
-    def defect(self) -> str | None:
-        """None if the candidate is a polytope whose maximal chains biject
-        with the flag orbits (the subgroup is semisparse); otherwise the first
-        failed requirement."""
-        ok, why = is_polytopal(self.poset)
-        if not ok:
-            return why
-        chains = self.face_of_flag[self.orbit_reps]
-        if len(np.unique(chains, axis=0)) != self.n_orbits:
-            return "flags: distinct orbits induce the same maximal chain"
-        if _maximal_chain_count(self.poset) != self.n_orbits:
-            return "flags: quotient has maximal chains not induced by any orbit"
-        return None
-
-
-def quotient_candidate(p: Polytope, g: MarkedGroup, n_ids: np.ndarray) -> QuotientCandidate:
-    """Faces of the candidate quotient are subgroup orbits of faces; incidence
-    holds when orbits share a flag (double cosets intersect)."""
-    orbit_lab = _flag_orbits(g, n_ids)
-    orbit_reps = np.unique(orbit_lab)
-    counts = []
-    faceq = np.empty((p.n_flags, p.rank), dtype=np.int64)
-    for i in range(p.rank):
-        labels = _double_coset_labels(p, orbit_lab, i)
-        uniq, inverse = np.unique(labels, return_inverse=True)
-        faceq[:, i] = inverse
-        counts.append(len(uniq))
-    mats = []
-    for i in range(p.rank - 1):
-        m = np.zeros((counts[i], counts[i + 1]), dtype=bool)
-        m[faceq[:, i], faceq[:, i + 1]] = True
-        mats.append(m)
-    return QuotientCandidate(FacePoset(counts, mats), faceq, orbit_lab, orbit_reps)
-
-
-def _maximal_chain_count(poset: FacePoset) -> int:
-    c = np.ones(poset.counts[0], dtype=np.int64)
-    for m in poset.mats:
-        c = m.astype(np.int64).T @ c
-    return int(c.sum())
-
-
-def semisparse_diagnostic(g: MarkedGroup, n: Subgroup, p: Polytope | None = None) -> str | None:
+def semisparse_diagnostic(g: MarkedGroup, n: Subgroup) -> str | None:
     """None if semisparse; otherwise the first failed requirement."""
-    if p is None:
-        p = polytope_from_group(g)
-    return quotient_candidate(p, g, n.elem_ids).defect()
+    return _defect(quotient_candidate(g, n.elem_ids))
 
 
-def is_semisparse(g: MarkedGroup, n: Subgroup, p: Polytope | None = None) -> bool:
-    return semisparse_diagnostic(g, n, p) is None
+def is_semisparse(g: MarkedGroup, n: Subgroup) -> bool:
+    return semisparse_diagnostic(g, n) is None
 
 
-def _polytope_of(g: MarkedGroup, cand: QuotientCandidate) -> Polytope:
-    """The quotient polytope of an accepted candidate; flags are the orbits."""
-    oidx = np.searchsorted(cand.orbit_reps, cand.orbit_lab)
-    adj = []
-    for a in (g.right_action(gid) for gid in g.gen_ids):
-        adj.append(oidx[cand.orbit_lab[np.asarray(a)[cand.orbit_reps]]].astype(np.int32))
-    fg = FlagGraph(adj)
-    fg.validate()
-    return Polytope(fg)
-
-
-def quotient_polytope(p: Polytope, g: MarkedGroup, n: Subgroup) -> Polytope:
-    """Quotient of p by a semisparse subgroup; flags are the orbits.
+def quotient_polytope(g: MarkedGroup, n: Subgroup) -> Polytope:
+    """Quotient of the regular polytope with group g by a semisparse
+    subgroup; flags are the orbits.
 
     Rejects non-semisparse subgroups, naming the failed axiom.
     """
-    cand = quotient_candidate(p, g, n.elem_ids)
-    why = cand.defect()
+    q = quotient_candidate(g, n.elem_ids)
+    why = _defect(q)
     if why is not None:
         raise ValueError(f"subgroup of order {n.order} is not semisparse: {why}")
-    return _polytope_of(g, cand)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +125,19 @@ def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
     return ok
 
 
-def _semisparse_candidates(g: MarkedGroup, order_bound: int, p: Polytope):
-    """Each semisparse class with its accepted candidate quotient; the ground
-    truth runs once per class of the masked lattice."""
+def _semisparse_candidates(g: MarkedGroup, order_bound: int):
+    """Each semisparse class with its quotient polytope; the ground truth
+    runs once per class of the masked lattice."""
     allowed = semisparse_allowed_mask(g)
     for cls in enumerate_subgroups_within(g, allowed, order_bound):
-        cand = quotient_candidate(p, g, cls.rep.elem_ids)
-        if cand.defect() is None:
-            yield cls, cand
+        q = quotient_candidate(g, cls.rep.elem_ids)
+        if _defect(q) is None:
+            yield cls, q
 
 
-def semisparse_classes(g: MarkedGroup, order_bound: int = 10**4,
-                       p: Polytope | None = None) -> list[SubgroupClass]:
+def semisparse_classes(g: MarkedGroup, order_bound: int = 10**4) -> list[SubgroupClass]:
     """One representative per conjugacy class of semisparse subgroups."""
-    if p is None:
-        p = polytope_from_group(g)
-    return [cls for cls, _ in _semisparse_candidates(g, order_bound, p)]
+    return [cls for cls, _ in _semisparse_candidates(g, order_bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +151,8 @@ def _facet_marked_group(w: MarkedGroup) -> MarkedGroup:
 def _semisparse_subgroup_sets(w: MarkedGroup, sub: MarkedGroup) -> set[frozenset[int]]:
     """All semisparse subgroups of `sub` (each subgroup, not just class reps),
     as frozensets of parent element ids."""
-    psub = polytope_from_group(sub)
     out = set()
-    for cls in semisparse_classes(sub, p=psub):
-        from .permgroups import conjugates
+    for cls in semisparse_classes(sub):
         for conj in conjugates(sub, cls.rep):
             ids = frozenset(int(w.element_id(sub.perm_of(i))) for i in conj.elem_ids)
             out.add(ids)
@@ -216,12 +167,9 @@ def is_semisparse_product_criterion(w: MarkedGroup, n: Subgroup) -> bool:
         raise ValueError("product-set criterion applies to rank-4 groups")
     a = w.parabolic([0, 1, 2])
     b = w.parabolic([1, 2, 3])
-    prodset = np.unique(w.rmul[np.ix_(b.elem_ids.astype(np.int64), a.elem_ids.astype(np.int64))])
-    wa = _facet_marked_group(w)
-    good = _semisparse_subgroup_sets(w, wa)
-    from .permgroups import conjugates
+    good = _semisparse_subgroup_sets(w, _facet_marked_group(w))
     for conj in conjugates(w, n):
-        meet = frozenset(int(x) for x in np.intersect1d(conj.elem_ids, prodset))
+        meet = frozenset(int(x) for x in product_set_intersect(conj, a, b))
         if meet not in good:
             return False
     return True
@@ -305,10 +253,8 @@ def _rank3_section_classes(p: Polytope, prof: SectionProfile) -> tuple[dict[str,
 def classify_quotients(g: MarkedGroup, universal_name: str,
                        order_bound: int = 10**4) -> ClassificationReport:
     """Classify every quotient of the regular polytope with group g."""
-    p = polytope_from_group(g)
     records = []
-    for cls, cand in _semisparse_candidates(g, order_bound, p):
-        qp = _polytope_of(g, cand)
+    for cls, qp in _semisparse_candidates(g, order_bound):
         normal = cls.rep.is_normal()
         regular = is_regular(qp)
         if regular != normal:
@@ -340,8 +286,6 @@ def quotient_lattice_dot(report: ClassificationReport, g: MarkedGroup) -> str:
     P/N2 is a further quotient of P/N1 when N1 is contained in a conjugate of
     N2; edges are the covering pairs of that partial order.
     """
-    from .permgroups import conjugates
-
     recs = report.records
     k = len(recs)
     conj_sets: list[list[frozenset]] = []

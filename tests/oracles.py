@@ -239,3 +239,83 @@ def strongly_connected(counts, mats):
             if len({find(f) for f in members}) != 1:
                 return False
     return True
+
+
+def orbit_minima(perms, n):
+    """The least point of each point's orbit under the group the permutations
+    generate, by breadth-first search along every permutation and its inverse."""
+    steps = [[] for _ in range(n)]
+    for p in perms:
+        for x in range(n):
+            steps[x].append(p[x])
+            steps[p[x]].append(x)
+    out = [None] * n
+    for s in range(n):
+        if out[s] is not None:
+            continue
+        orbit = {s}
+        queue = deque([s])
+        while queue:
+            for y in steps[queue.popleft()]:
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        for x in orbit:
+            out[x] = min(orbit)
+    return out
+
+
+def _least_member_classes(n, pairs):
+    """Union-find over range(n): each point's label is the least member of
+    its class in the finest partition joining every pair."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:  # the root of a class stays its least member
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(n)]
+
+
+def orbit_join_quotient(adj, left):
+    """The face poset of P/N by joining partitions of P's flags.
+
+    `adj[i][w]` is the flag i-adjacent to flag w of P and `left[k][w]` the
+    flag n_k * w for each element n_k of N.  A rank-i face of P/N is a class
+    of the finest partition holding every N-orbit and every rank-i face of P
+    (flags joined by the adjacencies other than i); faces are numbered by
+    least flag.  Returns (counts, incidences, chains): the incident pairs of
+    rank-i and rank-(i+1) faces, per i, and the faces of each N-orbit's
+    flags, one tuple per orbit in order of least flag.
+    """
+    n, rank = len(adj[0]), len(adj)
+    orbit = _least_member_classes(n, ((w, l[w]) for l in left for w in range(n)))
+    faces = []
+    for i in range(rank):
+        joined = [(w, orbit[w]) for w in range(n)]
+        joined += [(w, a[w]) for j, a in enumerate(adj) if j != i for w in range(n)]
+        label = _least_member_classes(n, joined)
+        number = {f: k for k, f in enumerate(sorted(set(label)))}
+        faces.append([number[f] for f in label])
+    counts = [len(set(f)) for f in faces]
+    incidences = [{(faces[i][w], faces[i + 1][w]) for w in range(n)} for i in range(rank - 1)]
+    chains = [tuple(f[w] for f in faces) for w in sorted(set(orbit))]
+    return counts, incidences, chains
+
+
+def maximal_chain_count(counts, incidences):
+    """The number of maximal chains of a ranked poset given by its incident
+    pairs of consecutive ranks."""
+    ways = [1] * counts[0]
+    for i, pairs in enumerate(incidences):
+        up = [0] * counts[i + 1]
+        for a, b in pairs:
+            up[b] += ways[a]
+        ways = up
+    return sum(ways)

@@ -31,6 +31,9 @@ TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b0365736604
 MASKED_LATTICE_SHA256 = {
     7: "4263b9045f343a92f0e6093ed86e096d53a193efaefc64a958c7f7878eeb7954",
     10: "4d1d9ea72078f63caf8a85024d02f657ac46c2db531b34e5945b2f1ceb5fa4b2",
+    11: "fb3d3f03278715d114f44f7798c7cad89e442803d11614133a8f960426c679ed",
+    12: "a5ec9f303cffc5c9fdea1b9e5bff4b51cfb2362b70dc7f8c0ae465a4faa375e8",
+    13: "df7b9054e98aca3df257b82d2ea726acdd811f421cfb969ea0698083a7768c46",
     21: "454d84a19129563892097843234155b6bcc0e69457321c1cedc0b6f0ff13d462",
 }
 

@@ -7,10 +7,10 @@ from polyquot.coset import coset_enumeration, perm_rep
 from polyquot.amalgam import twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
                                  conjugates, enumerate_subgroups, intersect,
-                                 product_set_intersect)
+                                 orbit_min_labels, product_set_intersect)
 
 from oracles import (brute_force_products, brute_force_subgroups,
-                     conjugacy_partition, mulclose)
+                     conjugacy_partition, mulclose, orbit_minima)
 
 
 def realize(entries, petrie=None):
@@ -283,3 +283,12 @@ def test_conjugacy_transitive(cube, cube_xyz):
     assert are_conjugate(cube, h1, h2)[0]
     assert are_conjugate(cube, h2, h3)[0]
     assert are_conjugate(cube, h1, h3)[0]
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+@settings(max_examples=60, deadline=None)
+def test_orbit_min_labels_against_bfs(case):
+    n, perms = case
+    lab = orbit_min_labels([np.array(p) for p in perms], n)
+    assert lab.tolist() == orbit_minima(perms, n)

@@ -122,8 +122,7 @@ def _connectivity_posets():
     posets.append(FacePoset.from_incidences(  # two disjoint digons
         [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]))
     g = entry_by_name("cube").group()
-    p = polytope_from_group(g)
-    posets += [quotient_candidate(p, g, c.rep.elem_ids).poset for c in enumerate_subgroups(g)]
+    posets += [quotient_candidate(g, c.rep.elem_ids).poset() for c in enumerate_subgroups(g)]
     return posets
 
 
@@ -145,11 +144,11 @@ def test_polytopal_invariant_under_face_relabelling(data):
         assert ok == strongly_connected(poset.counts, mats)
 
 
-def test_quotient_by_reflection_rejected(cube_p):
+def test_quotient_by_reflection_rejected():
     g = entry_by_name("cube").group()
     h = g.subgroup([g.gen_ids[0]])
     with pytest.raises(ValueError, match="not semisparse"):
-        quotient_polytope(cube_p, g, h)
+        quotient_polytope(g, h)
 
 
 def test_intersection_condition_catalog():
@@ -189,12 +188,12 @@ def test_is_regular(cube_p):
     assert is_regular(cube_p)
 
 
-def test_digonal_prism_not_regular(cube_p):
+def test_digonal_prism_not_regular():
     g = entry_by_name("cube").group()
     s0, s1, _ = g.gen_ids
     x = s0
     y = g.mul(g.mul(s1, x), s1)
-    dp = quotient_polytope(cube_p, g, g.subgroup([g.mul(x, y)]))
+    dp = quotient_polytope(g, g.subgroup([g.mul(x, y)]))
     assert dp.n_flags == 24
     # brute-force poset automorphism count (independent oracle) is 8
     assert dp.aut_order == _poset_automorphisms(dp) == 8
@@ -239,13 +238,13 @@ def test_isomorphism_examples(cube_p):
                               entry_by_name("hemicross").polytope())
 
 
-def test_quotients_by_conjugate_subgroups_are_isomorphic(cube_p):
+def test_quotients_by_conjugate_subgroups_are_isomorphic():
     from polyquot.permgroups import conjugates
     from polyquot.quotients import semisparse_classes
 
     g = entry_by_name("cube").group()
-    for cls in semisparse_classes(g, p=cube_p):
-        quotients = [quotient_polytope(cube_p, g, c) for c in conjugates(g, cls.rep)]
+    for cls in semisparse_classes(g):
+        quotients = [quotient_polytope(g, c) for c in conjugates(g, cls.rep)]
         for q in quotients[1:]:
             assert are_isomorphic(quotients[0], q)
 
@@ -328,15 +327,27 @@ def _oracle(p):
 @settings(max_examples=30, deadline=None)
 def test_certificate_invariant_under_relabelling(ws, data):
     p = _polytopes(ws, data)
+    q = _relabelled(p, data)
+    assert q.certificate == p.certificate
+    assert (is_regular(q), q.aut_order) == (is_regular(p), p.aut_order)
+
+
+def _relabelled(p, data):
+    """p with its flags renumbered by a drawn permutation."""
     sigma = np.array(data.draw(st.permutations(range(p.n_flags))))
     adj = []
     for a in p.fg.adj:
         b = np.empty_like(a)
         b[sigma] = sigma[a]  # flag x becomes sigma[x]
         adj.append(b)
-    q = Polytope(FlagGraph(adj))
-    assert q.certificate == p.certificate
-    assert (is_regular(q), q.aut_order) == (is_regular(p), p.aut_order)
+    return Polytope(FlagGraph(adj))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_double_dual_is_isomorphic(ws, data):
+    p = _polytopes(ws, data)
+    assert are_isomorphic(dual(dual(_relabelled(p, data))), p)
 
 
 @given(data=st.data())

@@ -1,15 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
 from polyquot.catalog import entry_by_name
-from polyquot.permgroups import conjugates, enumerate_subgroups
-from polyquot.polytopes import are_isomorphic, is_polytopal, polytope_from_group
+from polyquot.permgroups import (MarkedGroup, conjugates, enumerate_subgroups,
+                                 enumerate_subgroups_within)
+from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal,
+                                polytope_from_group)
 from polyquot.quotients import (PAPER_QUOTED, CaseContribution,
-                                aggregate_summary, is_semisparse,
-                                is_semisparse_product_criterion,
-                                quotient_lattice_dot, quotient_polytope,
+                                aggregate_summary, classify_quotients,
+                                is_semisparse, is_semisparse_product_criterion,
+                                quotient_candidate, quotient_lattice_dot,
+                                quotient_polytope, semisparse_allowed_mask,
                                 semisparse_classes, semisparse_diagnostic)
+
+from oracles import maximal_chain_count, orbit_join_quotient
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +37,9 @@ def xyz(cube):
     return x, y, z
 
 
-def test_cube_semisparse_list(cube, cube_p, xyz):
+def test_cube_semisparse_list(cube, xyz):
     x, y, z = xyz
-    classes = semisparse_classes(cube, p=cube_p)
+    classes = semisparse_classes(cube)
     assert len(classes) == 4
     profile = sorted((c.order, c.size, c.rep.is_normal()) for c in classes)
     assert profile == [(1, 1, True), (2, 1, True), (2, 3, False), (4, 1, True)]
@@ -45,33 +51,80 @@ def test_cube_semisparse_list(cube, cube_p, xyz):
         assert cube.subgroup(gens).key() in found
 
 
-def test_individual_semisparse_checks(cube, cube_p, xyz):
+def test_individual_semisparse_checks(cube, xyz):
     x, y, z = xyz
-    assert is_semisparse(cube, cube.subgroup([]), cube_p)            # trivial
-    assert is_semisparse(cube, cube.subgroup([cube.mul(x, y)]), cube_p)
-    assert not is_semisparse(cube, cube.subgroup([x]), cube_p)       # a reflection
+    assert is_semisparse(cube, cube.subgroup([]))        # trivial
+    assert is_semisparse(cube, cube.subgroup([cube.mul(x, y)]))
+    assert not is_semisparse(cube, cube.subgroup([x]))   # a reflection
 
 
-def test_cube_quotient_identifications(cube, cube_p, xyz):
+def test_cube_quotient_identifications(cube, xyz):
     x, y, z = xyz
     xyz_ = cube.mul(cube.mul(x, y), z)
-    hemi = quotient_polytope(cube_p, cube, cube.subgroup([xyz_]))
+    hemi = quotient_polytope(cube, cube.subgroup([xyz_]))
     assert are_isomorphic(hemi, entry_by_name("hemicube").polytope())
-    q23 = quotient_polytope(cube_p, cube, cube.subgroup([cube.mul(x, y), cube.mul(y, z)]))
+    q23 = quotient_polytope(cube, cube.subgroup([cube.mul(x, y), cube.mul(y, z)]))
     assert are_isomorphic(q23, entry_by_name("hosohedron(3)").polytope())
 
 
 def test_trivial_quotient_is_identity(cube, cube_p):
-    q = quotient_polytope(cube_p, cube, cube.subgroup([]))
+    q = quotient_polytope(cube, cube.subgroup([]))
     assert are_isomorphic(q, cube_p)
 
 
-def test_rejection_diagnostic(cube, cube_p):
+def test_rejection_diagnostic(cube):
     h = cube.subgroup([cube.gen_ids[0]])
-    why = semisparse_diagnostic(cube, h, cube_p)
+    why = semisparse_diagnostic(cube, h)
     assert why is not None
     with pytest.raises(ValueError, match="not semisparse"):
-        quotient_polytope(cube_p, cube, h)
+        quotient_polytope(cube, h)
+
+
+def _oracle_defect(counts, incidences, chains):
+    """The semisparse defect of the oracle's poset, by the same rules."""
+    ok, why = is_polytopal(FacePoset.from_incidences(counts, incidences))
+    if not ok:
+        return why
+    if len(set(chains)) != len(chains):
+        return "flags: distinct orbits induce the same maximal chain"
+    if maximal_chain_count(counts, incidences) != len(chains):
+        return "flags: quotient has maximal chains not induced by any orbit"
+    return None
+
+
+@pytest.mark.parametrize("source", ["cube", "case7", "case10", "case21-masked"])
+def test_quotient_candidate_matches_orbit_join_oracle(ws, source):
+    if source == "cube":
+        g = entry_by_name("cube").group()
+    else:
+        g = ws.universal(int(source[4:6])).group
+    if source.endswith("masked"):
+        classes = enumerate_subgroups_within(g, semisparse_allowed_mask(g))
+    else:
+        classes = enumerate_subgroups(g)
+    R = g.rmul
+    adj = [R[gid].tolist() for gid in g.gen_ids]
+    accepted = 0
+    for cls in classes:
+        ids = cls.rep.elem_ids
+        counts, incidences, chains = orbit_join_quotient(adj, [R[:, n].tolist() for n in ids])
+        q = quotient_candidate(g, ids)
+        assert q.counts == counts, ids
+        for m, pairs in zip(q.mats, incidences):
+            assert set(zip(*np.nonzero(m))) == pairs, ids
+        why = _oracle_defect(counts, incidences, chains)
+        assert semisparse_diagnostic(g, cls.rep) == why, ids
+        accepted += why is None
+    assert accepted == {"cube": 4, "case7": 1, "case10": 4, "case21-masked": 1}[source]
+
+
+def test_non_string_group_is_rejected():
+    g = entry_by_name("cube").group()
+    bad = MarkedGroup(g.degree, [g.gens[1], g.gens[0], g.gens[2]])
+    with pytest.raises(ValueError, match="not a string group"):
+        semisparse_classes(bad)
+    with pytest.raises(ValueError, match="not a string group"):
+        classify_quotients(bad, "swapped cube")
 
 
 def test_hemicube_has_no_proper_quotients():
@@ -106,9 +159,8 @@ def test_case11_no_proper_quotients(ws):
 
 def test_fast_path_agrees_with_ground_truth_on_192(ws):
     g = ws.universal(10).group
-    p = polytope_from_group(g)
     for cls in enumerate_subgroups(g):
-        assert (is_semisparse(g, cls.rep, p) ==
+        assert (is_semisparse(g, cls.rep) ==
                 is_semisparse_product_criterion(g, cls.rep)), cls.rep.elem_ids
 
 
@@ -129,9 +181,8 @@ def test_quotient_facet_counts_bounded(ws):
 
 def test_conjugate_subgroups_give_isomorphic_quotients_192(ws):
     g = ws.universal(10).group
-    p = polytope_from_group(g)
-    for cls in semisparse_classes(g, p=p):
-        qs = [quotient_polytope(p, g, c) for c in conjugates(g, cls.rep)]
+    for cls in semisparse_classes(g):
+        qs = [quotient_polytope(g, c) for c in conjugates(g, cls.rep)]
         for q in qs[1:]:
             assert are_isomorphic(qs[0], q)
 
