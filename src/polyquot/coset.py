@@ -112,29 +112,11 @@ class _Enumerator:
 
     # -- scanning ---------------------------------------------------------
 
-    def _scan(self, alpha: int, word: Word):
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while i <= j and table[f][word[i]] != -1:
-            f = table[f][word[i]]
-            i += 1
-        if i > j:
-            if f != b:
-                self._coincidence(f, b)
-            return
-        while j >= i and table[b][word[j]] != -1:
-            b = table[b][word[j]]
-            j -= 1
-        if j < i:
-            self._coincidence(f, b)
-        elif j == i:
-            table[f][word[i]] = b
-            table[b][word[i]] = f
-            self.deductions.append((f, word[i]))
-        # else: incomplete scan, no information
-
-    def _scan_and_fill(self, alpha: int, word: Word):
+    def _scan(self, alpha: int, word: Word, fill: bool = False):
+        """Scan `word` from alpha forwards and backwards.  A scan that closes
+        gives a coincidence, one with a single gap a deduction.  A longer gap
+        gives nothing, unless `fill`: then the next coset forward is defined
+        and the scan runs again."""
         table = self.table
         while True:
             f, i = alpha, 0
@@ -151,13 +133,14 @@ class _Enumerator:
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
-                return
-            if j == i:
+            elif j == i:
                 table[f][word[i]] = b
                 table[b][word[i]] = f
                 self.deductions.append((f, word[i]))
-                return
-            self._define(f, word[i])
+            elif fill:
+                self._define(f, word[i])
+                continue
+            return
 
     def _define(self, alpha: int, x: int):
         if len(self.table) >= self.max_cosets:
@@ -191,7 +174,7 @@ class _Enumerator:
         try:
             for w in subgroup_words:
                 if w:
-                    self._scan_and_fill(0, tuple(w))
+                    self._scan(0, tuple(w), fill=True)
                     self._process_deductions()
             alpha = 0
             while alpha < len(self.table):

@@ -135,6 +135,7 @@ class MarkedGroup:
         self._inv = None
         self._elem_orders = None
         self._intersection = None  # kept by polytopes.intersection_condition
+        self._parabolics = {}      # kept by quotients._parabolic
 
     @property
     def rank(self) -> int:
@@ -435,7 +436,7 @@ class SubgroupClass:
 class _Zuppos:
     """Cyclic subgroups of prime-power order, with the conjugation action."""
 
-    def __init__(self, g: MarkedGroup, allowed: np.ndarray | None):
+    def __init__(self, g: MarkedGroup, allowed: np.ndarray):
         orders = g.element_orders
         self.sets: list[np.ndarray] = []
         self.gen_elem: list[int] = []
@@ -444,9 +445,7 @@ class _Zuppos:
             o = int(orders[e])
             if not _is_prime_power(o):
                 continue
-            if self.of_elem[e] >= 0:
-                continue
-            if allowed is not None and not allowed[e]:
+            if self.of_elem[e] >= 0 or not allowed[e]:
                 continue
             ids = np.empty(o, dtype=np.int32)
             x = 0
@@ -454,7 +453,7 @@ class _Zuppos:
                 ids[k] = x
                 x = int(g.rmul[e, x])
             ids.sort()
-            if allowed is not None and not allowed[ids].all():
+            if not allowed[ids].all():
                 continue
             z = len(self.sets)
             self.sets.append(ids)
@@ -464,7 +463,7 @@ class _Zuppos:
         self.odd = [z for z, e in enumerate(self.gen_elem) if int(orders[e]) % 2 == 1]
 
 
-def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> list[SubgroupClass]:
+def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[SubgroupClass]:
     if g.order > order_bound:
         raise BoundExceeded(
             f"group order {g.order} exceeds subgroup-enumeration bound {order_bound}")
@@ -525,9 +524,7 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> li
         in_H = np.zeros(n, dtype=bool)
         in_H[H] = True
         # cyclic extensions: g in N(H) \ H with g^p in H, prime p
-        outside = N[~in_H[N]]
-        if allowed is not None:
-            outside = outside[allowed[outside]]
+        outside = N[~in_H[N] & allowed[N]]
         for p in primes:
             if outside.size == 0:
                 break
@@ -540,7 +537,7 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> li
                     parts.append(R[x][H.astype(np.int64)].astype(np.int32))
                     x = int(R[int(c), x])
                 K = np.unique(np.concatenate(parts))
-                if allowed is not None and not allowed[K].all():
+                if not allowed[K].all():
                     continue
                 new = register(K, h_gens + (int(c),))
                 if new is not None:
@@ -559,7 +556,7 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray | None) -> li
                     continue
                 gens2 = h_gens + (e,)
                 K = g.closure_ids(gens2)  # H = <h_gens>, so K = <H, e>
-                if allowed is not None and not allowed[K].all():
+                if not allowed[K].all():
                     continue
                 new = register(K, gens2)
                 if new is not None:
@@ -576,7 +573,7 @@ def enumerate_subgroups(g: MarkedGroup, order_bound: int = DEFAULT_SUBGROUP_BOUN
     Representatives are the lexicographically least sorted element-id lists of
     their classes, listed by (order, elements).
     """
-    return _lattice(g, order_bound, None)
+    return _lattice(g, order_bound, np.ones(g.order, dtype=bool))
 
 
 def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,

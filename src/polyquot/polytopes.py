@@ -413,12 +413,10 @@ class SectionProfile:
     isomorphism class.  Rank-1 sections are diamonds once the diamond axiom
     holds, and a rank-2 section is a polygon, fixed by its flag count, which
     is its key; neither is built.  The pair (-1, rank) is the polytope itself.
-    Every other section is built once, kept in sections[(i, j)] in the order
-    of its faces, and keyed by its canonical certificate.
+    Every other section is built and keyed by its canonical certificate.
     """
 
     classes: dict[tuple[int, int], dict[bytes | int, int]]
-    sections: dict[tuple[int, int], list[Polytope]]
 
     def is_section_regular(self) -> bool:
         return all(len(v) <= 1 for v in self.classes.values())
@@ -430,7 +428,6 @@ class SectionProfile:
 
 def section_profile(p: Polytope) -> SectionProfile:
     classes: dict[tuple[int, int], dict[bytes | int, int]] = {}
-    sections: dict[tuple[int, int], list[Polytope]] = {}
     for i in range(-1, p.rank - 1):
         for j in range(i + 2, p.rank + 1):
             if (i, j) == (-1, p.rank):
@@ -442,11 +439,11 @@ def section_profile(p: Polytope) -> SectionProfile:
             elif j == i + 3:
                 classes[(i, j)] = Counter(flags.tolist())
             else:
-                built = sections[(i, j)] = [
+                classes[(i, j)] = Counter(
                     section(p, (j, int(row[-1])) if j < p.rank else None,
-                            (i, int(row[0])) if i >= 0 else None) for row in rows]
-                classes[(i, j)] = Counter(s.certificate for s in built)
-    return SectionProfile(classes, sections)
+                            (i, int(row[0])) if i >= 0 else None).certificate
+                    for row in rows)
+    return SectionProfile(classes)
 
 
 def _incident_pairs(p: Polytope, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,20 +21,55 @@ conditions are necessary for a semisparse subgroup and elementwise, so the
 restriction loses nothing.  The product-set criterion (valid when the vertex
 figure has no proper quotients) is implemented as a fast path and
 cross-checked against the ground truth.
+
+Facets and vertex figures come from the group, not from built sections
+(McMullen & Schulte, Abstract Regular Polytopes, 2002).  Let F = <s0,s1,s2>.
+
+- The facet of P/N through the flag N*x is F/M with M = F ∩ x^-1 N x.  Its
+  flags are the orbits N*x*f, f in F, and i-adjacency (i < 3) is right
+  multiplication by s_i.  N*x*f = N*x*f' exactly when f' f^-1 lies in
+  x^-1 N x, that is when M*f = M*f', so M*f -> N*x*f is a bijection from the
+  right cosets of M in F onto the facet's flags that commutes with every
+  adjacency: the facet's flag graph is the orbit flag graph of F by M.  The
+  facet is a section of a polytope whose flags are its maximal chains, so
+  F/M is a polytope whose flags are its chains and M is semisparse in F.
+  Vertex figures are the same with V = <s1,s2,s3> and the flag N*x's vertex.
+- Two facets F/M and F/M' are isomorphic exactly when M and M' are
+  conjugate in F.  Their flag graphs are F's actions on the right cosets
+  of M and of M', the generators acting as the adjacencies, and an
+  isomorphism of flag graphs commutes with the generators, hence is an
+  equivalence of the two actions.  Transitive actions are equivalent exactly
+  when their point stabilisers, M and f^-1 M' f, are conjugate.
+- P/N is section regular exactly when all its facets lie in one class of
+  section regular F-quotients, and all its vertex figures in one class of
+  section regular V-quotients.  Diamonds are all alike, and
+  each remaining proper section is a polygon lying in a facet (rank pairs
+  (-1,2) and (0,3)) or in a vertex figure ((0,3) and (1,4)).  So one facet
+  class whose polygons agree and one vertex-figure class whose polygons
+  agree make every such pair one class; conversely a second facet class or
+  two polygons of different sizes in one facet break it, and so do their
+  vertex-figure counterparts.
+
+A polygon is fixed by its flag count, so an F-quotient is section regular
+when its 2-faces have one flag count and so do its vertex figures.  Each
+rank-3 parabolic's semisparse classes are therefore named once per group,
+and a quotient's facets are named by looking up the class of
+F ∩ x^-1 N x, one x per double coset N*x*F.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import catalog
-from .permgroups import (MarkedGroup, Subgroup, SubgroupClass, conjugates,
-                         enumerate_subgroups_within, product_set_intersect)
-from .polytopes import (FlagGraph, Polytope, SectionProfile, is_polytopal,
-                        is_regular, require_polytope_group, section_profile)
+from .permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup,
+                         SubgroupClass, conjugates, enumerate_subgroups_within,
+                         product_set_intersect)
+from .polytopes import (FlagGraph, Polytope, is_polytopal, is_regular,
+                        require_polytope_group)
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +94,29 @@ def quotient_candidate(g: MarkedGroup, n_ids: np.ndarray) -> Polytope:
 def _defect(q: Polytope) -> str | None:
     """None if the candidate is a polytope whose maximal chains biject with
     its flags, the N-orbits (the subgroup is semisparse); otherwise the first
-    failed requirement.  An accepted candidate's flag graph is validated."""
+    failed requirement.  An accepted candidate's flag graph is validated.
+
+    Once the poset is a polytope and distinct orbits induce distinct chains,
+    every chain is induced by an orbit.  Let N*w induce the chain C, with
+    faces N*w*G_k, and let X be the other rank-i face between C's faces A
+    (rank i-1) and B (rank i+1) that the diamond axiom gives.  A consecutive
+    incidence is read off an orbit, so X = N*w*g*G_i for some g in G_{i-1} and
+    X = N*w*h*G_i for some h in G_{i+1} (G_{-1} = G_rank = G, for the
+    virtual faces).  By the string property the parts
+    of g in <s_0..s_{i-2}> and of h in <s_{i+2}..> lie in G_i, so we may take
+    g = b in U = <s_i..> and h in D = <s_0..s_i>.  Then w*h = n*w*b*d*u with
+    n in N, d in <s_0..s_{i-1}> and u in <s_{i+1}..>, so the orbit
+    N*w*(h*d^-1) = N*w*(b*u) keeps C's faces below rank i (b*u in U) and
+    above it (h*d^-1 in D) and has X at rank i.  So the induced chains are
+    closed under chain adjacency, and a strongly connected poset is strongly
+    flag-connected (McMullen & Schulte, Abstract Regular Polytopes, 2B10):
+    they are all of its maximal chains.
+    """
     ok, why = is_polytopal(q.poset())
     if not ok:
         return why
     if len(np.unique(q.face_of_flag, axis=0)) != q.n_flags:
         return "flags: distinct orbits induce the same maximal chain"
-    chains = np.ones(q.counts[0], dtype=np.int64)
-    for m in q.mats:
-        chains = m.astype(np.int64).T @ chains
-    if int(chains.sum()) != q.n_flags:
-        return "flags: quotient has maximal chains not induced by any orbit"
     q.fg.validate()
     return None
 
@@ -141,22 +188,45 @@ def semisparse_classes(g: MarkedGroup, order_bound: int = 10**4) -> list[Subgrou
 
 
 # ---------------------------------------------------------------------------
+# the rank-3 parabolics and their quotient classes
+
+
+@dataclass
+class _Parabolic:
+    """A parabolic P_J of g with its semisparse classes, named once."""
+
+    group: MarkedGroup  # P_J, marked by s_j for j in J
+    ids: np.ndarray  # ids[x] = P_J's id of g's element x, or -1 outside P_J
+    classes: dict[bytes, tuple[str, bool]]  # key -> (name, section regular)
+    canonical: dict[bytes, bytes] = field(default_factory=dict)  # class_key memo
+
+    def class_key(self, g_ids: np.ndarray) -> bytes:
+        """Key of the P_J-class of a subset of P_J, given by g's ids: its
+        lex-least P_J-conjugate, the lattice's representative of a class."""
+        m = Subgroup(self.group, self.ids[g_ids])
+        if m.key() not in self.canonical:
+            self.canonical[m.key()] = conjugates(self.group, m)[0].key()
+        return self.canonical[m.key()]
+
+
+def _parabolic(g: MarkedGroup, js: tuple[int, ...]) -> _Parabolic:
+    """The table of P_J = <s_j : j in J>, built once per group."""
+    if js not in g._parabolics:
+        sub = MarkedGroup(g.degree, [g.gens[j] for j in js])
+        ids = np.full(g.order, -1, dtype=np.int64)
+        # both groups number their elements in lex order of the image arrays
+        ids[g.parabolic(js).elem_ids] = np.arange(sub.order)
+        classes = {}
+        for cls, q in _semisparse_candidates(sub, DEFAULT_SUBGROUP_BOUND):
+            polygons_agree = all(len(np.unique(np.bincount(q.face_of_flag[:, i]))) == 1
+                                 for i in (0, q.rank - 1))
+            classes[cls.rep.key()] = (catalog.identify(q), polygons_agree)
+        g._parabolics[js] = _Parabolic(sub, ids, classes)
+    return g._parabolics[js]
+
+
+# ---------------------------------------------------------------------------
 # fast path: the product-set criterion
-
-
-def _facet_marked_group(w: MarkedGroup) -> MarkedGroup:
-    return MarkedGroup(w.degree, [w.gens[0], w.gens[1], w.gens[2]])
-
-
-def _semisparse_subgroup_sets(w: MarkedGroup, sub: MarkedGroup) -> set[frozenset[int]]:
-    """All semisparse subgroups of `sub` (each subgroup, not just class reps),
-    as frozensets of parent element ids."""
-    out = set()
-    for cls in semisparse_classes(sub):
-        for conj in conjugates(sub, cls.rep):
-            ids = frozenset(int(w.element_id(sub.perm_of(i))) for i in conj.elem_ids)
-            out.add(ids)
-    return out
 
 
 def is_semisparse_product_criterion(w: MarkedGroup, n: Subgroup) -> bool:
@@ -167,10 +237,11 @@ def is_semisparse_product_criterion(w: MarkedGroup, n: Subgroup) -> bool:
         raise ValueError("product-set criterion applies to rank-4 groups")
     a = w.parabolic([0, 1, 2])
     b = w.parabolic([1, 2, 3])
-    good = _semisparse_subgroup_sets(w, _facet_marked_group(w))
+    facet = _parabolic(w, (0, 1, 2))
     for conj in conjugates(w, n):
-        meet = frozenset(int(x) for x in product_set_intersect(conj, a, b))
-        if meet not in good:
+        meet = product_set_intersect(conj, a, b)
+        # a meet that is no subgroup has no conjugate among the class keys
+        if (facet.ids[meet] < 0).any() or facet.class_key(meet) not in facet.classes:
             return False
     return True
 
@@ -243,16 +314,17 @@ class ClassificationReport:
         }
 
 
-def _rank3_section_classes(p: Polytope, prof: SectionProfile) -> tuple[dict[str, int], ...]:
-    """Catalog names of the facets and of the vertex figures, each as a
-    name -> count multiset, read from the sections the profile built."""
-    return tuple(dict(Counter(catalog.identify(s) for s in prof.sections[pair]))
-                 for pair in ((-1, p.rank - 1), (0, p.rank)))
-
-
 def classify_quotients(g: MarkedGroup, universal_name: str,
                        order_bound: int = 10**4) -> ClassificationReport:
-    """Classify every quotient of the regular polytope with group g."""
+    """Classify every quotient of the regular polytope with group g.
+
+    Facets and vertex figures are named, and section regularity decided,
+    from the classes of the rank-3 parabolics (see the module docstring);
+    no section of a quotient is built."""
+    require_polytope_group(g)
+    if g.rank != 4:
+        raise ValueError(f"quotients are classified for rank-4 groups, not rank {g.rank}")
+    parabolics = [(_parabolic(g, (0, 1, 2)), 3), (_parabolic(g, (1, 2, 3)), 0)]
     records = []
     for cls, qp in _semisparse_candidates(g, order_bound):
         normal = cls.rep.is_normal()
@@ -260,11 +332,18 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
         if regular != normal:
             raise AssertionError(
                 f"regularity/normality mismatch for subgroup of order {cls.rep.order}")
-        prof = section_profile(qp)
-        sect_reg = prof.is_section_regular()
+        n_ids = cls.rep.elem_ids
+        # flag k of qp is N*least[k], as quotient_candidate numbers the orbits
+        least = np.unique(g.rmul[:, n_ids.astype(np.int64)].min(axis=1))
+        names, sect_reg = [], True
+        for par, rank in parabolics:
+            first = np.unique(qp.face_of_flag[:, rank], return_index=True)[1]
+            conj = g.conj(n_ids, least[first][:, None])  # x^-1 N x, a row per face
+            keys = [par.class_key(row[par.ids[row] >= 0]) for row in conj]
+            names.append(dict(Counter(par.classes[k][0] for k in keys)))
+            sect_reg &= len(set(keys)) == 1 and par.classes[keys[0]][1]
         if regular and not sect_reg:
             raise AssertionError("regular quotient failed section regularity")
-        facet_classes, vfig_classes = _rank3_section_classes(qp, prof)
         records.append(QuotientRecord(
             subgroup=cls.rep,
             class_size=cls.size,
@@ -272,8 +351,8 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
             is_normal=normal,
             is_regular=regular,
             is_section_regular=sect_reg,
-            facet_classes=facet_classes,
-            vfig_classes=vfig_classes,
+            facet_classes=names[0],
+            vfig_classes=names[1],
             type_symbol=qp.schlafli_type(),
         ))
     records.sort(key=lambda r: (r.subgroup_order, tuple(r.subgroup.elem_ids)))

@@ -1,13 +1,15 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from polyquot.catalog import entry_by_name
+from polyquot.catalog import entry_by_name, identify
 from polyquot.permgroups import (MarkedGroup, conjugates, enumerate_subgroups,
-                                 enumerate_subgroups_within)
+                                 enumerate_subgroups_within,
+                                 product_set_intersect)
 from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal,
-                                polytope_from_group)
+                                polytope_from_group, section, section_profile)
 from polyquot.quotients import (PAPER_QUOTED, CaseContribution,
                                 aggregate_summary, classify_quotients,
                                 is_semisparse, is_semisparse_product_criterion,
@@ -266,19 +268,50 @@ def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
     assert calls["candidates"] == calls["classes"] > 4
 
 
-def test_case10_builds_each_facet_and_vertex_figure_once(ws, monkeypatch):
+def test_case10_builds_no_section(ws, monkeypatch):
     from polyquot import polytopes, quotients as pq
 
-    section = polytopes.section
     calls = []
+    for name in ("section", "section_profile"):
+        real = getattr(polytopes, name)
 
-    def counting(*args):
-        calls.append(args)
-        return section(*args)
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
 
-    for module in (polytopes, pq):
-        if hasattr(module, "section"):
-            monkeypatch.setattr(module, "section", counting)
-    rep = pq.classify_quotients(ws.universal(10).group, "case10")
-    faces = sum(r.polytope.counts[0] + r.polytope.counts[-1] for r in rep.records)
-    assert len(calls) == faces == 34
+        monkeypatch.setattr(polytopes, name, counting)
+    g = ws.universal(10).group
+    monkeypatch.setattr(g, "_parabolics", {})  # the class tables are built in the call
+    rep = pq.classify_quotients(g, "case10")
+    assert rep.total_quotients == 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", [7, 10, 11, 12, 13, 19, 21])
+def test_section_classes_match_built_sections(ws, case):
+    """The names and section regularity that classify_quotients reads off the
+    parabolics' class tables agree with the facets and vertex figures built
+    as sections of each quotient."""
+    for r in ws.report(case).records:
+        q = r.polytope
+        facets = [section(q, (3, f), None) for f in range(q.counts[3])]
+        vfigs = [section(q, None, (0, v)) for v in range(q.counts[0])]
+        assert r.facet_classes == dict(Counter(map(identify, facets)))
+        assert r.vfig_classes == dict(Counter(map(identify, vfigs)))
+        assert r.is_section_regular == section_profile(q).is_section_regular()
+
+
+def test_product_criterion_rejects_a_meet_outside_the_facet_group(ws):
+    g = ws.universal(10).group
+    s3 = g.gen_ids[3]
+    n = g.subgroup([s3])
+    facet_group = g.parabolic([0, 1, 2])
+    meet = product_set_intersect(n, facet_group, g.parabolic([1, 2, 3]))
+    assert s3 in meet and s3 not in facet_group.elem_ids
+    assert not is_semisparse_product_criterion(g, n)
+    assert not is_semisparse(g, n)
+
+
+def test_rank3_group_is_rejected(cube):
+    with pytest.raises(ValueError, match="rank-4 groups, not rank 3"):
+        classify_quotients(cube, "cube")
