@@ -18,7 +18,7 @@ from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
 from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, perm_rep
-from .permgroups import MarkedGroup
+from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup
 from .polytopes import Polytope, intersection_condition, polytope_from_group
 from .presentations import Presentation
 
@@ -123,13 +123,11 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
 def _parabolic_name(g: MarkedGroup, idx) -> str:
     """Identify the polytope of a rank-3 parabolic subgroup, if it is one."""
-    sub = g.parabolic(idx)
-    gens = [g.perm_of(i) for i in (g.gen_ids[j] for j in idx)]
-    h = MarkedGroup(g.degree, gens)
+    h = g.parabolic_group(idx)
     try:
         return catalog.identify(polytope_from_group(h))
     except ValueError:
-        return f"a group of order {sub.order}"
+        return f"a group of order {h.order}"
 
 
 # ---------------------------------------------------------------------------
@@ -298,36 +296,31 @@ def _distinct_action_count(cols, words, probe: int = 4096) -> int:
 
 
 def twisted_over(entry: CatalogEntry) -> MarkedGroup:
-    """Group 2^v ⋊ Γ(K) for a rank-3 entry K with v vertices.
+    """Group 2^v ⋊ Γ(K) for a rank-3 entry K with v vertices, as its regular
+    action.
 
     Γ(K) acts by conjugation on the generators of 2^v exactly as on the
-    vertices of K.  Distinguished generators: the coordinate flip at a base
-    vertex, followed by the generators of Γ(K).  The permutation domain is
-    the 2^v bit vectors plus Γ(K)'s own domain (to keep the action faithful).
+    vertices of K.  Distinguished generators: the coordinate flip at the base
+    vertex (the vertex of flag 0), followed by the generators of Γ(K).  The
+    points are the pairs (x, w), x a set of vertices (a v-bit mask) and w an
+    element of Γ(K), numbered x*|Γ(K)| + w: s0 flips w's vertex in x, and
+    Γ(K)'s generators right-multiply w.  The flips at w's vertex, conjugated
+    by Γ(K), are the flips at each vertex, one for each coset of the vertex
+    stabiliser <s1,s2>, so the group has 2^v*|Γ(K)| elements and acts
+    regularly.  A domain larger than the order limit raises BoundExceeded
+    before anything is built.
     """
     if entry.symbol.rank != 3:
         raise ValueError("twisting needs a rank-3 entry")
     g = entry.group()
     p = entry.polytope()
-    v = p.counts[0]
-    if v > 20:
-        raise ValueError(f"2^{v} domain is too large")
-    nbits = 1 << v
     vertex_of_flag = p.face_of_flag[:, 0]
-    base_vertex = int(vertex_of_flag[0])
-    d = nbits + g.degree
-    xs = np.arange(nbits)
-    gens = []
-    s0 = np.concatenate([xs ^ (1 << base_vertex), nbits + np.arange(g.degree)]).astype(np.int32)
-    gens.append(s0)
-    for gid in g.gen_ids:
-        # vertex permutation: left multiplication acts on the vertex cosets
-        # (for an involution, left mult by the inverse is the same array)
-        vp = np.empty(v, dtype=np.int64)
-        flag_img = g.rmul[:, gid]
-        vp[vertex_of_flag] = vertex_of_flag[flag_img]
-        bitperm = np.zeros(nbits, dtype=np.int64)
-        for b in range(v):
-            bitperm |= ((xs >> b) & 1) << vp[b]
-        gens.append(np.concatenate([bitperm, nbits + np.asarray(g.perm_of(gid))]).astype(np.int32))
-    return MarkedGroup(d, gens)
+    m = g.order
+    degree = m << p.counts[0]
+    if degree > DEFAULT_ORDER_LIMIT:
+        raise BoundExceeded(
+            f"2^{p.counts[0]}*{m} points exceed enumeration limit {DEFAULT_ORDER_LIMIT}")
+    x, w = np.divmod(np.arange(degree), m)
+    gens = [(x ^ (1 << vertex_of_flag[w])) * m + w]
+    gens += [x * m + g.rmul[gid][w] for gid in g.gen_ids]
+    return MarkedGroup(degree, gens)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import coset_enumeration, perm_rep
-from .permgroups import MarkedGroup, identity_perm
+from .permgroups import MarkedGroup
 from .polytopes import Polytope, polytope_from_group
 from .presentations import Presentation, Word, power_word
 
@@ -195,17 +195,16 @@ def central_quotient_group(entry: CatalogEntry) -> MarkedGroup:
 
 
 def ditope_group(facet: CatalogEntry) -> MarkedGroup:
-    """Group of the ditope over a rank-3 facet: the facet group times the
-    swap of the two copies, as a rank-4 marked group."""
+    """Group of the ditope over a rank-3 facet: the facet group Γ times the
+    swap of the two copies, as a rank-4 marked group acting regularly on the
+    2|Γ| points 2w + c, w an element of Γ and c a copy.  Γ's generators
+    right-multiply w and the swap flips c."""
     if facet.symbol.rank != 3:
         raise ValueError("ditope needs a rank-3 facet")
     g = facet.group()
-    d = g.degree
-    gens = [np.concatenate([p, [d, d + 1]]).astype(np.int32) for p in g.gens]
-    swap = identity_perm(d + 2)
-    swap[d], swap[d + 1] = d + 1, d
-    gens.append(swap)
-    return MarkedGroup(d + 2, gens)
+    pts = np.arange(2 * g.order)
+    w, c = np.divmod(pts, 2)
+    return MarkedGroup(len(pts), [2 * g.rmul[gid][w] + c for gid in g.gen_ids] + [pts ^ 1])
 
 
 def build_ditope(facet: CatalogEntry) -> Polytope:

@@ -54,8 +54,11 @@ def _config(args) -> RunConfig:
 
 def _emit(text: str, cfg: RunConfig):
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {cfg.output_path}: {e.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -89,11 +92,14 @@ def cmd_catalog(args) -> int:
 
 def cmd_dump_presentations(args) -> int:
     outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    for e in _catalog_entries(True):
-        fname = e.name.replace("(", "_").replace(")", "") + ".pres"
-        with open(os.path.join(outdir, fname), "w") as fh:
-            fh.write(format_presentation(e.presentation(), comment=f"{e.name} {e.symbol}"))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for e in _catalog_entries(True):
+            fname = e.name.replace("(", "_").replace(")", "") + ".pres"
+            with open(os.path.join(outdir, fname), "w") as fh:
+                fh.write(format_presentation(e.presentation(), comment=f"{e.name} {e.symbol}"))
+    except OSError as e:
+        raise UsageError(f"cannot write presentations to {outdir}: {e.strerror}")
     sys.stdout.write(f"wrote presentations to {outdir}\n")
     return 0
 

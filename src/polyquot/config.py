@@ -5,6 +5,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .coset import DEFAULT_MAX_COSETS
+from .permgroups import DEFAULT_SUBGROUP_BOUND
+
 STRETCH_MAX_COSETS = 6 * 10**6
 
 
@@ -12,12 +15,13 @@ STRETCH_MAX_COSETS = 6 * 10**6
 class RunConfig:
     """Resource bounds and output settings, validated once when built.
 
-    A max_cosets of None takes POLYQUOT_MAX_COSETS if it is set, else 10**6;
+    A max_cosets of None takes POLYQUOT_MAX_COSETS if it is set, else
+    DEFAULT_MAX_COSETS;
     a stretch run raises the coset budget to at least STRETCH_MAX_COSETS.
     """
 
     max_cosets: int | None = None
-    subgroup_order_bound: int = 10**4
+    subgroup_order_bound: int = DEFAULT_SUBGROUP_BOUND
     stretch: bool = False
     output_format: str = "text"  # text | json | dot
     output_path: str | None = None
@@ -26,7 +30,7 @@ class RunConfig:
         if self.max_cosets is None:
             env = os.environ.get("POLYQUOT_MAX_COSETS")
             try:
-                self.max_cosets = int(env) if env else 10**6
+                self.max_cosets = int(env) if env else DEFAULT_MAX_COSETS
             except ValueError:
                 raise ValueError(f"POLYQUOT_MAX_COSETS is not an integer: {env!r}") from None
         if self.max_cosets < 1 or self.subgroup_order_bound < 1:

@@ -217,7 +217,12 @@ def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = D
 
 
 def perm_rep(table: CosetTable):
-    """Marked permutation group induced on the cosets of a closed table."""
+    """Marked permutation group induced on the cosets of a closed table.
+
+    A table of the trivial subgroup is the group acting regularly on itself,
+    which is what a MarkedGroup is: element j is the one sending coset 0 (the
+    subgroup) to coset j.  A table over a subgroup that is not normal gives a
+    non-regular action, which the MarkedGroup rejects when first used."""
     from .permgroups import MarkedGroup
 
     if not table.is_closed:

@@ -1,20 +1,35 @@
 """Marked permutation groups with dense multiplication tables.
 
-A MarkedGroup is a concrete permutation group together with its ordered list
-of distinguished involutory generators (the s_i of a string group).  Elements
-are enumerated exhaustively (desk scale: orders up to ~10^4) by one
-breadth-first search, which also records the right Cayley graph: for each
-element and generator, the element their product is.  The search writes the
-image arrays into one int32 buffer that grows by doubling, and finds a row
-again through a dict keyed on its first 16 images, chaining the rows that
-share a key and confirming a hit by comparing the whole row; so it keeps no
-per-element row object, only a short key.  One sort then numbers the elements in
-lexicographic order of their image arrays, so element ids, subgroup
-representatives and report orderings are reproducible across runs.  The
-sorted image arrays are the only element index: membership is a binary search
-over them, and the generators' rows of the dense right-multiplication table
-are the Cayley graph renumbered.  That table makes products, conjugation,
-subgroup closure and coset labelling single numpy gathers.
+A MarkedGroup is a finite group together with its ordered list of
+distinguished involutory generators (the s_i of a string group), given by its
+right-regular action: the generators are image arrays on range(n), n the group
+order, and a point j stands for the one element sending point 0 to j.  Every
+group the package builds reaches it that way; the closed coset table of the
+trivial subgroup is exactly such an action.  Permutations act on the right,
+so the product a*b applies a first, and element j's image array is the row of
+the multiplication table that right-multiplies by j: element i times element
+j sends 0 to elem_j[elem_i[0]] = elem_j[i].  The image arrays of a regular
+action already differ at point 0, so numbering the elements by the point they
+send 0 to is the lexicographic order of their image arrays, and element ids,
+subgroup representatives and report orderings are reproducible across runs.
+Membership of a permutation p is one row comparison, against row p[0].
+
+The table is composed once, along a breadth-first tree of points: row 0 is
+the identity and a point j = s_k(i) first met from i gets row s_k[row i].
+Then row j sends 0 to j, so row j is some element of the group sending 0 to
+j, and the only one when the action is regular.  Regularity is checked on
+that table, exactly: the breadth-first search must reach every point, and the
+maps c_k(j) = row_j[s_k(0)] must commute with every s_m and together have one
+orbit.  If they do, let h be an element fixing 0 and y any point, and take c
+a product of the c_k with c(0) = y.  c commutes with the generators, hence
+with h, so h(y) = h(c(0)) = c(h(0)) = c(0) = y: h is the identity, the
+transitive action has trivial point stabilisers, and so it is regular.
+Conversely, in a regular action row_j[s_k(0)] is the point that s_k * elem_j
+sends 0 to, so c_k is left multiplication by s_k: it commutes with every
+right multiplication, and the left multiplications by the generators are
+transitive.  The c_k are then involutions too, so testing that adds nothing.
+Generators that do not act regularly raise ValueError before any element id
+is handed out.
 
 Subgroup-class enumeration uses cyclic extension (prime-index extensions
 inside the normalizer) plus joins with odd-prime-power cyclic subgroups.
@@ -45,10 +60,6 @@ class BoundExceeded(Exception):
 
 # ---------------------------------------------------------------------------
 # permutation helpers (permutations are integer image arrays; p maps i to p[i])
-
-def identity_perm(degree: int) -> np.ndarray:
-    return np.arange(degree, dtype=np.int32)
-
 
 def as_perm(images, degree: int | None = None) -> np.ndarray:
     p = np.asarray(images, dtype=np.int32)
@@ -118,7 +129,8 @@ def _is_prime_power(n: int) -> bool:
 
 
 class MarkedGroup:
-    """Permutation group with ordered distinguished involutory generators."""
+    """A group's right-regular action, with ordered distinguished involutory
+    generators: element j is the one sending point 0 to j."""
 
     def __init__(self, degree: int, gens, order_limit: int = DEFAULT_ORDER_LIMIT):
         if degree < 1:
@@ -129,9 +141,7 @@ class MarkedGroup:
             if not is_involution(g):
                 raise ValueError(f"generator {i} does not square to the identity")
         self.order_limit = order_limit
-        self._elements = None      # (order x degree) image arrays, lex sorted
-        self._cayley = None        # _cayley[i, k] = id of elem_i * gens[k]
-        self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j
+        self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j = elem_j[i]
         self._inv = None
         self._elem_orders = None
         self._intersection = None  # kept by polytopes.intersection_condition
@@ -141,115 +151,67 @@ class MarkedGroup:
     def rank(self) -> int:
         return len(self.gens)
 
-    # -- element enumeration ------------------------------------------------
+    # -- the one table ------------------------------------------------------
 
-    def _enumerate(self):
-        if self._elements is not None:
+    def _build_tables(self):
+        """Compose row j = s_k[row i] along a BFS tree of points and check
+        that the action is regular (see the module docstring)."""
+        if self._rmul is not None:
             return
-        head = min(self.degree, 16)
-        buf = np.empty((64, self.degree), dtype=np.int32)  # BFS rows; grows by doubling
-        buf[0] = identity_perm(self.degree)
-        last = {buf[0, :head].tobytes(): 0}  # head key -> last BFS position with it
-        same = [-1]  # same[j] = previous BFS position with the head of row j, or -1
-        cayley = []  # BFS position of row k * gens[i], at k * rank + i
-        n, k = 1, 0  # rows found, rows expanded
-        while k < n:
-            for g in self.gens:
-                q = g[buf[k]]
-                key = q[:head].tobytes()
-                j = last.get(key, -1)
-                while j >= 0 and not np.array_equal(buf[j], q):
-                    j = same[j]
-                if j < 0:
-                    if n >= self.order_limit:
-                        raise BoundExceeded(
-                            f"group order exceeds enumeration limit {self.order_limit}")
-                    if n == len(buf):
-                        buf = np.concatenate([buf, np.empty_like(buf)])
-                    buf[n] = q
-                    same.append(last.get(key, -1))
-                    last[key] = j = n
-                    n += 1
-                cayley.append(j)
-            k += 1
-        del last, same
-        mat = buf[:n]
-        # big-endian unsigned bytes compare like the numeric image tuple
-        rows = mat.astype(">u4").view(f"V{4 * self.degree}").ravel()
-        by_id = np.argsort(rows)  # BFS position of each element id
-        del rows
-        id_of = np.empty(n, dtype=np.int64)
-        id_of[by_id] = np.arange(n)
-        cayley = np.array(cayley, dtype=np.int64).reshape(n, self.rank)
-        self._cayley = id_of[cayley[by_id]]
-        self._elements = mat[by_id]
+        n = self.degree
+        if n > self.order_limit:
+            raise BoundExceeded(
+                f"a regular action on {n} points exceeds enumeration limit {self.order_limit}")
+        dtype = np.int16 if n < 2**15 else np.int32
+        gens = [s.astype(dtype) for s in self.gens]
+        R = np.empty((n, n), dtype=dtype)
+        R[0] = np.arange(n)
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=dtype)
+        while frontier.size:
+            new = []
+            for s in gens:
+                img = s[frontier]
+                fresh = ~seen[img]
+                child = img[fresh]
+                seen[child] = True
+                R[child] = s[R[frontier[fresh]]]
+                new.append(child)
+            frontier = np.concatenate(new) if new else frontier[:0]
+        if not seen.all():
+            raise ValueError(f"the generators do not act transitively on {n} points")
+        left = [R[:, s[0]] for s in gens]  # c_k(j) = R[j][s_k(0)]
+        commute = all(np.array_equal(c[s], s[c]) for c in left for s in gens)
+        if not commute or orbit_min_labels(left, n).any():
+            raise ValueError("the generators do not act regularly: a point stabiliser "
+                             "is nontrivial")
+        self._rmul = R
+        self._inv = np.argmin(R, axis=1).astype(dtype)
 
     @property
     def order(self) -> int:
-        self._enumerate()
-        return len(self._elements)
+        self._build_tables()
+        return self.degree
 
     @property
     def elements(self) -> np.ndarray:
-        self._enumerate()
-        return self._elements
+        """elements[j] = image array of element j; the same array as rmul."""
+        self._build_tables()
+        return self._rmul
 
     def element_id(self, perm) -> int:
         """Id of a permutation, or -1 if it is not in the group."""
         p = as_perm(perm)
         if len(p) != self.degree:
             raise ValueError(f"permutation acts on {len(p)} points, group degree is {self.degree}")
-        elems = self.elements
-        lo, hi = 0, len(elems)
-        while lo < hi:  # binary search in the lex-sorted rows
-            mid = (lo + hi) // 2
-            diff = np.flatnonzero(elems[mid] != p)
-            if diff.size == 0:
-                return mid
-            if elems[mid, diff[0]] < p[diff[0]]:
-                lo = mid + 1
-            else:
-                hi = mid
-        return -1
-
-    def perm_of(self, elem_id: int) -> np.ndarray:
-        return self.elements[elem_id]
+        j = int(p[0])
+        return j if np.array_equal(self.elements[j], p) else -1
 
     @property
     def gen_ids(self) -> list[int]:
-        self._enumerate()
-        return [int(x) for x in self._cayley[0]]  # the identity has id 0
-
-    # -- dense multiplication table ------------------------------------------
-
-    def _build_tables(self):
-        if self._rmul is not None:
-            return
-        self._enumerate()
-        n = len(self._elements)
-        dtype = np.int16 if n < 2**15 else np.int32
-        R = np.full((n, n), -1, dtype=dtype)
-        R[0] = np.arange(n, dtype=dtype)  # identity has id 0 (lex-least row)
-        gids = self.gen_ids
-        for k, gid in enumerate(gids):
-            R[gid] = self._cayley[:, k]  # row i = elem_i * gens[k]
-        done = np.zeros(n, dtype=bool)
-        done[0] = True
-        for gid in gids:
-            done[gid] = True
-        queue = deque([0] + gids)
-        while queue:
-            j = queue.popleft()
-            for gid in gids:
-                j2 = int(R[gid][j])  # id of elem_j * gen
-                if not done[j2]:
-                    R[j2] = R[gid][R[j]]
-                    done[j2] = True
-                    queue.append(j2)
-        if not done.all():
-            raise AssertionError("multiplication table incomplete")
-        self._rmul = R
-        self._inv = np.argmin(R, axis=1).astype(dtype)
+        self._build_tables()
+        return [int(s[0]) for s in self.gens]
 
     @property
     def rmul(self) -> np.ndarray:
@@ -332,6 +294,14 @@ class MarkedGroup:
         """Subgroup generated by a subset of the distinguished generators."""
         gids = self.gen_ids
         return self.subgroup([gids[i] for i in gen_indices])
+
+    def parabolic_group(self, gen_indices) -> "MarkedGroup":
+        """The parabolic subgroup acting on itself: its point k, and so its
+        element k, is its k-th least element id here."""
+        ids = self.parabolic(gen_indices).elem_ids
+        pos = np.empty(self.order, dtype=np.int32)
+        pos[ids] = np.arange(len(ids))
+        return MarkedGroup(len(ids), [pos[self.rmul[self.gen_ids[i]][ids]] for i in gen_indices])
 
 
 @dataclass

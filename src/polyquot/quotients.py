@@ -76,19 +76,20 @@ from .polytopes import (FlagGraph, Polytope, is_polytopal, is_regular,
 # quotient construction
 
 
-def quotient_candidate(g: MarkedGroup, n_ids: np.ndarray) -> Polytope:
-    """The orbit flag graph of P/N and the faces it derives.
+def quotient_candidate(g: MarkedGroup, n_ids: np.ndarray) -> tuple[Polytope, np.ndarray]:
+    """The orbit flag graph of P/N and the faces it derives, with the least
+    element of each flag orbit.
 
-    Flags are the left orbits N*w, numbered by least element id; the
-    i-adjacency is N*w -> N*w*s_i.  The adjacencies are not validated: a
-    subgroup that is not semisparse can give fixed points.
+    Flags are the left orbits N*w, numbered by least element id, so flag k is
+    N*least[k]; the i-adjacency is N*w -> N*w*s_i.  The adjacencies are not
+    validated: a subgroup that is not semisparse can give fixed points.
     """
     require_polytope_group(g)
     R = g.rmul
     lab = R[:, n_ids.astype(np.int64)].min(axis=1)  # least id of N*w; R[w, n] = n*w
     reps = np.unique(lab)
     orbit = np.searchsorted(reps, lab)
-    return Polytope(FlagGraph([orbit[R[gid][reps]].astype(np.int32) for gid in g.gen_ids]))
+    return Polytope(FlagGraph([orbit[R[gid][reps]].astype(np.int32) for gid in g.gen_ids])), reps
 
 
 def _defect(q: Polytope) -> str | None:
@@ -123,7 +124,7 @@ def _defect(q: Polytope) -> str | None:
 
 def semisparse_diagnostic(g: MarkedGroup, n: Subgroup) -> str | None:
     """None if semisparse; otherwise the first failed requirement."""
-    return _defect(quotient_candidate(g, n.elem_ids))
+    return _defect(quotient_candidate(g, n.elem_ids)[0])
 
 
 def is_semisparse(g: MarkedGroup, n: Subgroup) -> bool:
@@ -136,7 +137,7 @@ def quotient_polytope(g: MarkedGroup, n: Subgroup) -> Polytope:
 
     Rejects non-semisparse subgroups, naming the failed axiom.
     """
-    q = quotient_candidate(g, n.elem_ids)
+    q, _ = quotient_candidate(g, n.elem_ids)
     why = _defect(q)
     if why is not None:
         raise ValueError(f"subgroup of order {n.order} is not semisparse: {why}")
@@ -173,18 +174,20 @@ def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
 
 
 def _semisparse_candidates(g: MarkedGroup, order_bound: int):
-    """Each semisparse class with its quotient polytope; the ground truth
-    runs once per class of the masked lattice."""
+    """Each semisparse class with its quotient polytope and the least element
+    of each flag orbit; the ground truth runs once per class of the masked
+    lattice."""
     allowed = semisparse_allowed_mask(g)
     for cls in enumerate_subgroups_within(g, allowed, order_bound):
-        q = quotient_candidate(g, cls.rep.elem_ids)
+        q, least = quotient_candidate(g, cls.rep.elem_ids)
         if _defect(q) is None:
-            yield cls, q
+            yield cls, q, least
 
 
-def semisparse_classes(g: MarkedGroup, order_bound: int = 10**4) -> list[SubgroupClass]:
+def semisparse_classes(g: MarkedGroup,
+                       order_bound: int = DEFAULT_SUBGROUP_BOUND) -> list[SubgroupClass]:
     """One representative per conjugacy class of semisparse subgroups."""
-    return [cls for cls, _ in _semisparse_candidates(g, order_bound)]
+    return [cls for cls, _, _ in _semisparse_candidates(g, order_bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +215,11 @@ class _Parabolic:
 def _parabolic(g: MarkedGroup, js: tuple[int, ...]) -> _Parabolic:
     """The table of P_J = <s_j : j in J>, built once per group."""
     if js not in g._parabolics:
-        sub = MarkedGroup(g.degree, [g.gens[j] for j in js])
+        sub = g.parabolic_group(js)
         ids = np.full(g.order, -1, dtype=np.int64)
-        # both groups number their elements in lex order of the image arrays
-        ids[g.parabolic(js).elem_ids] = np.arange(sub.order)
+        ids[g.parabolic(js).elem_ids] = np.arange(sub.order)  # sub's k-th element is g's k-th
         classes = {}
-        for cls, q in _semisparse_candidates(sub, DEFAULT_SUBGROUP_BOUND):
+        for cls, q, _ in _semisparse_candidates(sub, DEFAULT_SUBGROUP_BOUND):
             polygons_agree = all(len(np.unique(np.bincount(q.face_of_flag[:, i]))) == 1
                                  for i in (0, q.rank - 1))
             classes[cls.rep.key()] = (catalog.identify(q), polygons_agree)
@@ -315,7 +317,7 @@ class ClassificationReport:
 
 
 def classify_quotients(g: MarkedGroup, universal_name: str,
-                       order_bound: int = 10**4) -> ClassificationReport:
+                       order_bound: int = DEFAULT_SUBGROUP_BOUND) -> ClassificationReport:
     """Classify every quotient of the regular polytope with group g.
 
     Facets and vertex figures are named, and section regularity decided,
@@ -326,15 +328,13 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
         raise ValueError(f"quotients are classified for rank-4 groups, not rank {g.rank}")
     parabolics = [(_parabolic(g, (0, 1, 2)), 3), (_parabolic(g, (1, 2, 3)), 0)]
     records = []
-    for cls, qp in _semisparse_candidates(g, order_bound):
+    for cls, qp, least in _semisparse_candidates(g, order_bound):
         normal = cls.rep.is_normal()
         regular = is_regular(qp)
         if regular != normal:
             raise AssertionError(
                 f"regularity/normality mismatch for subgroup of order {cls.rep.order}")
         n_ids = cls.rep.elem_ids
-        # flag k of qp is N*least[k], as quotient_candidate numbers the orbits
-        least = np.unique(g.rmul[:, n_ids.astype(np.int64)].min(axis=1))
         names, sect_reg = [], True
         for par, rank in parabolics:
             first = np.unique(qp.face_of_flag[:, rank], return_index=True)[1]

@@ -149,6 +149,19 @@ def test_output_path(tmp_path, capsys):
     assert json.loads(out_file.read_text())
 
 
+def test_output_path_in_a_missing_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "catalog", "--format", "json",
+                         "--output-path", str(tmp_path / "missing" / "cat.json"))
+    assert code == 3 and out == "" and err.startswith("usage error:")
+
+
+def test_output_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    code, out, err = run(capsys, "dump-presentations", "--output-dir", str(a_file))
+    assert code == 3 and out == "" and err.startswith("usage error:")
+
+
 def test_negative_max_cosets_is_usage_error(capsys):
     code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross",
                        "--max-cosets", "-1")

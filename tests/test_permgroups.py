@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyquot.catalog import SchlafliSymbol, coxeter_presentation, entry_by_name, petrie_relator
+from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, ditope_group, entry_by_name,
+                              petrie_relator)
 from polyquot.coset import coset_enumeration, perm_rep
 from polyquot.amalgam import twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
@@ -53,10 +56,23 @@ def test_order_limit():
 
 
 def test_order_limit_is_exact():
-    assert _symmetric_on_tail(20).order == 24
-    assert MarkedGroup(20, _symmetric_on_tail(20).gens, order_limit=24).order == 24
+    tet = entry_by_name("tetrahedron").group()
+    assert MarkedGroup(tet.degree, tet.gens, order_limit=24).order == 24
     with pytest.raises(BoundExceeded):
-        MarkedGroup(20, _symmetric_on_tail(20).gens, order_limit=23).order
+        MarkedGroup(tet.degree, tet.gens, order_limit=23).order
+
+
+def test_twisted_over_a_large_domain_builds_nothing():
+    entry = entry_by_name("dodecahedron")
+    entry.group(), entry.polytope()  # 2^20 * 120 points
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded):
+            twisted_over(entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_is_member(cube):
@@ -91,25 +107,54 @@ def _transposition(degree, a, b):
 
 def _symmetric_on_tail(degree):
     """Sym of the points from 16 on, as adjacent transpositions: every element
-    fixes points 0-15, so all rows share one element-lookup key."""
+    fixes points 0-15."""
     return MarkedGroup(degree, [_transposition(degree, a, a + 1) for a in range(16, degree - 1)])
 
 
-def _oracle_groups(ws):
+def _non_regular_groups(ws):
     w = ws.universal(10).group
     return {
-        "cube": entry_by_name("cube").group(),  # regular action
-        "case10-facet-parabolic": MarkedGroup(w.degree, w.gens[:3]),  # 48 on 192 points
-        "twisted-hemicross": twisted_over(entry_by_name("hemicross")),
-        "trivial": MarkedGroup(1, []),
-        "shared-key-s4": _symmetric_on_tail(20),  # order 24
-        "shared-key-s5": _symmetric_on_tail(21),  # order 120, past the first row buffer
+        "case10-facet-gens": MarkedGroup(w.degree, w.gens[:3]),  # 48 on 192 points
+        "s4-on-4-points": MarkedGroup(4, [_transposition(4, a, a + 1) for a in range(3)]),
+        "s4-on-a-tail": _symmetric_on_tail(20),
     }
 
 
-@pytest.mark.parametrize("name", ["cube", "case10-facet-parabolic",
-                                  "twisted-hemicross", "trivial",
-                                  "shared-key-s4", "shared-key-s5"])
+@pytest.mark.parametrize("name", ["case10-facet-gens", "s4-on-4-points", "s4-on-a-tail"])
+def test_non_regular_generators_raise(ws, name):
+    g = _non_regular_groups(ws)[name]
+    for read in (lambda: g.order, lambda: g.elements, lambda: g.rmul, lambda: g.inv_ids,
+                 lambda: g.gen_ids, lambda: g.element_id(np.arange(g.degree))):
+        with pytest.raises(ValueError, match="do not act"):
+            read()
+
+
+def test_parabolic_group_against_brute_force_products(ws):
+    """The case-10 facet parabolic acting on itself has the products of its
+    generators acting on the universal's 192 points, and its element k is
+    the parabolic's k-th least element of the universal group."""
+    w = ws.universal(10).group
+    h = w.parabolic_group((0, 1, 2))
+    elems, _, rmul, inv, gen_ids = brute_force_products(w.degree, w.gens[:3])
+    assert h.order == len(elems) == 48
+    assert np.array_equal(h.rmul, np.array(rmul))
+    assert np.array_equal(h.inv_ids, np.array(inv))
+    assert h.gen_ids == gen_ids
+    assert [w.element_id(e) for e in elems] == list(w.parabolic((0, 1, 2)).elem_ids)
+
+
+def _oracle_groups(ws):
+    return {
+        "cube": entry_by_name("cube").group(),
+        "case10-facet-parabolic-group": ws.universal(10).group.parabolic_group((0, 1, 2)),
+        "twisted-hemicross": twisted_over(entry_by_name("hemicross")),  # 2^3 * 24 points
+        "ditope-hemicube": ditope_group(entry_by_name("hemicube")),
+        "trivial": MarkedGroup(1, []),
+    }
+
+
+@pytest.mark.parametrize("name", ["cube", "case10-facet-parabolic-group",
+                                  "twisted-hemicross", "ditope-hemicube", "trivial"])
 def test_tables_against_brute_force_products(ws, name):
     g = _oracle_groups(ws)[name]
     elems, index, rmul, inv, gen_ids = brute_force_products(g.degree, g.gens)

@@ -122,7 +122,7 @@ def _connectivity_posets():
     posets.append(FacePoset.from_incidences(  # two disjoint digons
         [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]))
     g = entry_by_name("cube").group()
-    posets += [quotient_candidate(g, c.rep.elem_ids).poset() for c in enumerate_subgroups(g)]
+    posets += [quotient_candidate(g, c.rep.elem_ids)[0].poset() for c in enumerate_subgroups(g)]
     return posets
 
 

@@ -110,8 +110,9 @@ def test_quotient_candidate_matches_orbit_join_oracle(ws, source):
     for cls in classes:
         ids = cls.rep.elem_ids
         counts, incidences, chains = orbit_join_quotient(adj, [R[:, n].tolist() for n in ids])
-        q = quotient_candidate(g, ids)
+        q, least = quotient_candidate(g, ids)
         assert q.counts == counts, ids
+        assert np.array_equal(least, np.unique(R[:, ids].min(axis=1))), ids
         for m, pairs in zip(q.mats, incidences):
             assert set(zip(*np.nonzero(m))) == pairs, ids
         why = _oracle_defect(counts, incidences, chains)
