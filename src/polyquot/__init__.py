@@ -18,8 +18,7 @@ from .amalgam import (AmalgamSpec, UniversalResult, amalgam_presentation,
                       case_spec)
 from .quotients import (QuotientRecord, ClassificationReport, is_semisparse,
                         semisparse_classes, quotient_polytope,
-                        classify_quotients, aggregate_summary,
-                        CaseContribution, PAPER_QUOTED)
+                        classify_quotients)
 from .config import RunConfig
 
 __version__ = "0.1.0"

@@ -27,6 +27,8 @@ COLLAPSED = "collapsed"
 NOT_POLYTOPAL = "not-polytopal"
 INCONCLUSIVE = "inconclusive"  # facet-coset path only: closure it cannot certify
 
+PROBE = 4096  # cosets each word is traced on before the full coset table
+
 
 @dataclass(frozen=True)
 class AmalgamSpec:
@@ -267,28 +269,22 @@ def _trace_points(cols, word, points):
     return out
 
 
-def _distinct_action_count(cols, words, probe: int = 4096) -> int:
-    """Number of pairwise-distinct permutations induced by the given words.
+def _distinct_action_count(cols, words) -> int:
+    """Number of distinct permutations the words of a group F's elements
+    induce on the cosets.
 
-    Words are first grouped by their action on a probe prefix of the domain;
-    only colliding groups pay for a full-domain comparison.
+    The amalgam's relators contain F's, so the words induce a homomorphism
+    F -> Sym(cosets), and the distinct actions number |F| divided by its
+    kernel, the words fixing every coset.  Each word is traced on a probe
+    prefix of PROBE cosets, and on every coset only if it fixes the prefix.
     """
     n = len(cols[0])
-    pts = np.arange(min(probe, n), dtype=np.int32)
-    groups: dict[bytes, list] = {}
-    for w in words:
-        sig = _trace_points(cols, w, pts).tobytes()
-        groups.setdefault(sig, []).append(w)
-    if n <= probe:
-        return len(groups)
-    count = 0
+    prefix = np.arange(min(PROBE, n), dtype=np.int32)
     allpts = np.arange(n, dtype=np.int32)
-    for ws in groups.values():
-        if len(ws) == 1:
-            count += 1
-        else:
-            count += len({_trace_points(cols, w, allpts).tobytes() for w in ws})
-    return count
+    kernel = sum(1 for w in words
+                 if np.array_equal(_trace_points(cols, w, prefix), prefix)
+                 and np.array_equal(_trace_points(cols, w, allpts), allpts))
+    return len(words) // kernel
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--max-cosets", type=int, default=None)
-    p.add_argument("--subgroup-bound", type=int, default=None)
-    p.add_argument("--stretch", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+_BOUNDS = {
+    "--max-cosets": {"type": int, "default": None},
+    "--subgroup-bound": {"type": int, "default": None},
+    "--stretch": {"action": "store_true"},
+}
+
+
+def _add_options(p, bounds=(), formats=()):
+    """The options a subcommand reads: the named bounds, --format if it has
+    formats to choose from, and --output-path."""
+    for name in bounds:
+        p.add_argument(name, **_BOUNDS[name])
+    if formats:
+        p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--output-path", default=None)
 
 
@@ -45,20 +54,18 @@ def _config(args) -> RunConfig:
               "subgroup_order_bound": getattr(args, "subgroup_bound", None)}
     try:
         return RunConfig(stretch=getattr(args, "stretch", False),
-                         output_format=getattr(args, "format", "text"),
-                         output_path=getattr(args, "output_path", None),
                          **{k: v for k, v in bounds.items() if v is not None})
     except ValueError as e:
         raise UsageError(str(e))
 
 
-def _emit(text: str, cfg: RunConfig):
-    if cfg.output_path:
+def _emit(text: str, args):
+    if args.output_path:
         try:
-            with open(cfg.output_path, "w") as fh:
+            with open(args.output_path, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise UsageError(f"cannot write {cfg.output_path}: {e.strerror}")
+            raise UsageError(f"cannot write {args.output_path}: {e.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -76,17 +83,16 @@ def _catalog_entries(include_degenerate: bool):
 
 
 def cmd_catalog(args) -> int:
-    cfg = _config(args)
     entries = _catalog_entries(args.degenerate)
-    if cfg.output_format == "json":
+    if args.format == "json":
         data = [{"name": e.name, "symbol": list(e.symbol.entries), "order": e.expected_order,
                  "class": e.kind, "dual": e.dual_name} for e in entries]
-        _emit(_dumps(data), cfg)
+        _emit(_dumps(data), args)
     else:
         lines = [f"{'name':20s} {'symbol':8s} {'order':>6s}  {'class':11s} dual"]
         for e in entries:
             lines.append(f"{e.name:20s} {str(e.symbol):8s} {e.expected_order:6d}  {e.kind:11s} {e.dual_name}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -132,8 +138,8 @@ def cmd_build(args) -> int:
     if res.outcome == EXISTS:
         p = res.polytope()
         data["face_counts"] = list(p.counts)
-    if cfg.output_format == "json":
-        _emit(_dumps(data), cfg)
+    if args.format == "json":
+        _emit(_dumps(data), args)
     else:
         lines = [f"universal {spec.name} of type {spec.type_symbol}: {res.outcome}"]
         if res.order is not None:
@@ -142,7 +148,7 @@ def cmd_build(args) -> int:
             lines.append(f"  face counts {data['face_counts']}")
         if res.collapse_detail:
             lines.append(f"  {res.collapse_detail}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     return 2 if res.outcome == EXCEEDED else 0
 
 
@@ -161,11 +167,11 @@ def cmd_quotients(args) -> int:
     except BoundExceeded as e:
         sys.stderr.write(f"{e}\n")
         return 2
-    if cfg.output_format == "dot":
-        _emit(quotient_lattice_dot(report, res.group), cfg)
+    if args.format == "dot":
+        _emit(quotient_lattice_dot(report, res.group), args)
         return 0
-    if cfg.output_format == "json":
-        _emit(_dumps(report.to_json()), cfg)
+    if args.format == "json":
+        _emit(_dumps(report.to_json()), args)
         return 0
     case_no = next((c.number for c in TABLE1
                     if (c.facet_name, c.vfig_name) == (args.facet, args.vfig)), None)
@@ -177,7 +183,7 @@ def cmd_quotients(args) -> int:
         lines.append(f"  |N|={r.subgroup_order:3d} x{r.class_size:2d} "
                      f"{'regular ' if r.is_regular else ''}"
                      f"type {r.type_symbol} facets {dict(sorted(r.facet_classes.items()))}")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -196,8 +202,8 @@ def cmd_table1(args) -> int:
             "group_order": r.order if r.group is not None else r.order_reconstructed,
             "detail": r.collapse_detail,
         })
-    if cfg.output_format == "json":
-        _emit(_dumps(rows), cfg)
+    if args.format == "json":
+        _emit(_dumps(rows), args)
     else:
         lines = []
         for row in rows:
@@ -207,7 +213,7 @@ def cmd_table1(args) -> int:
                          f"{{{row['facet']},{row['vfig']}}}{dual}")
             if row["detail"]:
                 lines.append(f"          {row['detail']}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -227,7 +233,7 @@ def cmd_verify(args) -> int:
             failed += 1
         lines.append(f"[{status}] criterion {row.criterion:2d}: {row.name}: "
                      f"expected {row.expected!r}, got {row.actual!r} ({row.source})")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
     return 1 if failed else 0
 
 
@@ -251,11 +257,11 @@ def cmd_export(args) -> int:
         name = "universal"
     what = args.what
     if what == "hasse":
-        _emit(hasse_dot(p, name.replace("-", "_").replace("(", "_").replace(")", "")), cfg)
+        _emit(hasse_dot(p, name.replace("-", "_").replace("(", "_").replace(")", "")), args)
     elif what == "flags":
-        _emit(flag_graph_dot(p.fg), cfg)
+        _emit(flag_graph_dot(p.fg), args)
     else:
-        _emit(_dumps(polytope_json(p)), cfg)
+        _emit(_dumps(polytope_json(p)), args)
     return 0
 
 
@@ -265,7 +271,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("catalog", help="list the rank-3 building blocks")
     p.add_argument("--degenerate", action="store_true")
-    _add_common(p)
+    _add_options(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("dump-presentations", help="write presentation files for every entry")
@@ -275,22 +281,22 @@ def main(argv=None) -> int:
     p = sub.add_parser("build", help="build a universal polytope from facet and vertex figure")
     p.add_argument("--facet", required=True)
     p.add_argument("--vfig", required=True)
-    _add_common(p)
+    _add_options(p, ("--max-cosets",), ("text", "json"))
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("quotients", help="classify the quotients of a universal polytope")
     p.add_argument("--facet", required=True)
     p.add_argument("--vfig", required=True)
-    _add_common(p)
+    _add_options(p, ("--max-cosets", "--subgroup-bound"), ("text", "json", "dot"))
     p.set_defaults(fn=cmd_quotients)
 
     p = sub.add_parser("table1", help="run all 22 classification cases")
-    _add_common(p)
+    _add_options(p, ("--max-cosets", "--stretch"), ("text", "json"))
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--case", type=int, default=None, help="restrict to one criterion")
-    _add_common(p)
+    _add_options(p, ("--max-cosets", "--subgroup-bound", "--stretch"))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("export", help="DOT/JSON exports of polytopes")
@@ -298,7 +304,7 @@ def main(argv=None) -> int:
     p.add_argument("--facet", default=None)
     p.add_argument("--vfig", default=None)
     p.add_argument("--what", choices=("hasse", "flags", "json"), default="json")
-    _add_common(p)
+    _add_options(p, ("--max-cosets",))
     p.set_defaults(fn=cmd_export)
 
     try:

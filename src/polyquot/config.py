@@ -13,7 +13,7 @@ STRETCH_MAX_COSETS = 6 * 10**6
 
 @dataclass
 class RunConfig:
-    """Resource bounds and output settings, validated once when built.
+    """Resource bounds, validated once when built.
 
     A max_cosets of None takes POLYQUOT_MAX_COSETS if it is set, else
     DEFAULT_MAX_COSETS;
@@ -23,8 +23,6 @@ class RunConfig:
     max_cosets: int | None = None
     subgroup_order_bound: int = DEFAULT_SUBGROUP_BOUND
     stretch: bool = False
-    output_format: str = "text"  # text | json | dot
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.max_cosets is None:

@@ -322,14 +322,6 @@ class Subgroup:
     def key(self) -> bytes:
         return _ids_key(self.elem_ids)
 
-    def is_normal(self) -> bool:
-        g = self.parent
-        ids = self.elem_ids
-        for gid in g.gen_ids:
-            if not np.array_equal(np.sort(g.conj(ids, gid)), ids):
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # group operations

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -193,29 +192,14 @@ class Polytope:
         return self._certificates()[1]
 
     def schlafli_type(self) -> tuple[int, ...]:
-        """Orders of the products r_{i-1} r_i on flags (the polygon orders)."""
+        """Orders of the products r_{i-1} r_i on flags (the polygon orders):
+        the lcm of the cycle lengths, which are the product's orbit sizes."""
         out = []
         for i in range(1, self.rank):
             p = self.fg.adj[i][self.fg.adj[i - 1]]
-            out.append(_perm_order(p))
+            cycles = np.unique(orbit_min_labels([p], len(p)), return_counts=True)[1]
+            out.append(int(np.lcm.reduce(cycles)))
         return tuple(out)
-
-
-def _perm_order(p) -> int:
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    o = 1
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        o = o * length // gcd(o, length)
-    return o
 
 
 def polytope_from_group(g: MarkedGroup) -> Polytope:

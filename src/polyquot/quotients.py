@@ -22,6 +22,22 @@ restriction loses nothing.  The product-set criterion (valid when the vertex
 figure has no proper quotients) is implemented as a fast path and
 cross-checked against the ground truth.
 
+Regularity and normality are read from the conjugacy class size (Hartley,
+All polytopes are quotients, and isomorphic polytopes are quotients by
+conjugate subgroups, Discrete Comput. Geom. 21, 1999).  Let phi be an
+automorphism of the orbit flag graph of P/N, with phi(N) = N*x.  phi commutes
+with every adjacency N*w -> N*w*s_i and the s_i generate W, so
+phi(N*w) = N*x*w for every w.  That map is well defined exactly when N*n*w =
+N*w gives N*x*n*w = N*x*w for every n in N, that is when x*N*x^-1 = N; for
+such x it is a bijection (x^-1 gives its inverse) commuting with every
+adjacency.  Two elements x, x' give the same map exactly when N*x = N*x', and
+x -> phi composes as a homomorphism, so Aut(P/N) is N_W(N)/N.  The class of
+N has |W : N_W(N)| members and P/N has |W : N| flags, so |Aut(P/N)| = flags /
+class size.  An automorphism fixing one flag fixes every flag of the
+connected flag graph, so P/N is regular (Aut(P/N) transitive on the flags)
+exactly when |Aut(P/N)| = flags: when the class size is 1, that is when N is
+normal.
+
 Facets and vertex figures come from the group, not from built sections
 (McMullen & Schulte, Abstract Regular Polytopes, 2002).  Let F = <s0,s1,s2>.
 
@@ -68,8 +84,7 @@ from . import catalog
 from .permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup,
                          SubgroupClass, conjugates, enumerate_subgroups_within,
                          product_set_intersect)
-from .polytopes import (FlagGraph, Polytope, is_polytopal, is_regular,
-                        require_polytope_group)
+from .polytopes import FlagGraph, Polytope, is_polytopal, require_polytope_group
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +344,7 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
     parabolics = [(_parabolic(g, (0, 1, 2)), 3), (_parabolic(g, (1, 2, 3)), 0)]
     records = []
     for cls, qp, least in _semisparse_candidates(g, order_bound):
-        normal = cls.rep.is_normal()
-        regular = is_regular(qp)
-        if regular != normal:
-            raise AssertionError(
-                f"regularity/normality mismatch for subgroup of order {cls.rep.order}")
+        normal = regular = cls.size == 1  # Aut(P/N) = N_W(N)/N, module docstring
         n_ids = cls.rep.elem_ids
         names, sect_reg = [], True
         for par, rank in parabolics:
@@ -342,8 +353,6 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
             keys = [par.class_key(row[par.ids[row] >= 0]) for row in conj]
             names.append(dict(Counter(par.classes[k][0] for k in keys)))
             sect_reg &= len(set(keys)) == 1 and par.classes[keys[0]][1]
-        if regular and not sect_reg:
-            raise AssertionError("regular quotient failed section regularity")
         records.append(QuotientRecord(
             subgroup=cls.rep,
             class_size=cls.size,
@@ -388,112 +397,3 @@ def quotient_lattice_dot(report: ClassificationReport, g: MarkedGroup) -> str:
                     lines.append(f"  q{i} -> q{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# aggregate summary across the classification
-
-
-@dataclass
-class CaseContribution:
-    case: int
-    source: str  # "computed" or "paper"
-    total: int
-    regular: int
-    section_regular: int
-
-
-# the two large cases, quoted from the published classification, never computed
-PAPER_QUOTED = {
-    20: CaseContribution(20, "paper", 145, 3, 70),
-    22: CaseContribution(22, "paper", 145, 3, 70),
-}
-
-# quotients shared between universals get counted once per containing case:
-# the self-dual universal of case 21 is also a quotient in cases 20 and 22,
-# and the self-dual universal of case 11 is also a quotient in cases 10 and 12
-SHARED_QUOTIENTS = [
-    ("case-21 universal", (20, 21, 22)),
-    ("case-11 universal", (10, 11, 12)),
-]
-
-# degenerate universal polytopes that are not quotients of any nondegenerate
-# one (the other four degenerate universals coincide with quotients above)
-DEGENERATE_EXTRAS = [
-    "{{2,4},{4,3}_3}",
-    "{{2,5},{5,3}_5}",
-    "dual of {{2,4},{4,3}_3}",
-    "dual of {{2,5},{5,3}_5}",
-]
-
-
-@dataclass
-class AggregateSummary:
-    contributions: list[CaseContribution]
-    shared: list[tuple[str, tuple[int, ...], int]]  # (name, cases, overcount)
-    total_with_multiplicity: int
-    regular_with_multiplicity: int
-    section_regular_with_multiplicity: int
-    total: int
-    regular: int
-    section_regular: int
-    degenerate_extras: list[str]
-    abstract_total: int
-    unverified_cases: list[int]
-
-    def to_json(self) -> dict:
-        return {
-            "contributions": [
-                {"case": c.case, "source": c.source, "total": c.total,
-                 "regular": c.regular, "section_regular": c.section_regular}
-                for c in self.contributions
-            ],
-            "shared_quotients": [
-                {"polytope": name, "cases": list(cases), "overcount": over}
-                for name, cases, over in self.shared
-            ],
-            "totals": {"quotients": self.total, "regular": self.regular,
-                       "section_regular": self.section_regular},
-            "degenerate_extras": self.degenerate_extras,
-            "abstract_total": self.abstract_total,
-            "unverified_cases": self.unverified_cases,
-        }
-
-
-def aggregate_summary(contributions: list[CaseContribution]) -> AggregateSummary:
-    """Combine per-case quotient counts into the classification totals.
-
-    Shared quotients are deduplicated; paper-quoted contributions stay marked
-    unverified.  The abstract's grand total adds the four degenerate
-    universals that are not quotients of any nondegenerate universal.
-    """
-    present = {c.case for c in contributions}
-    tm = sum(c.total for c in contributions)
-    rm = sum(c.regular for c in contributions)
-    sm = sum(c.section_regular for c in contributions)
-    shared = []
-    over_total = 0
-    for name, cases in SHARED_QUOTIENTS:
-        k = len([c for c in cases if c in present])
-        if k > 1:
-            shared.append((name, cases, k - 1))
-            over_total += k - 1
-    summary = AggregateSummary(
-        contributions=sorted(contributions, key=lambda c: c.case),
-        shared=shared,
-        total_with_multiplicity=tm,
-        regular_with_multiplicity=rm,
-        section_regular_with_multiplicity=sm,
-        total=tm - over_total,
-        regular=rm - over_total,
-        section_regular=sm - over_total,
-        degenerate_extras=list(DEGENERATE_EXTRAS) if contributions else [],
-        abstract_total=(tm - over_total + len(DEGENERATE_EXTRAS)) if contributions else 0,
-        unverified_cases=sorted(c.case for c in contributions if c.source == "paper"),
-    )
-    return summary
-
-
-def contribution_from_report(case: int, report: ClassificationReport) -> CaseContribution:
-    return CaseContribution(case, "computed", report.total_quotients,
-                            report.regular_count, report.section_regular_count)

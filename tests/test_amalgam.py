@@ -170,6 +170,7 @@ def test_facet_coset_path_reports_inconclusive_when_unfaithful():
     res = build_universal_over_facet(case_spec(10), max_cosets=10**4)
     assert res.outcome == INCONCLUSIVE
     assert res.order_reconstructed is None
+    assert res.facet_subgroup_order == 6  # 48 facet words over a kernel of 8
 
 
 def test_facet_coset_path_detects_vfig_collapse():

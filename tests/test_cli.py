@@ -182,8 +182,75 @@ def test_negative_subgroup_bound_is_usage_error(capsys):
 
 def test_non_integer_env_max_cosets_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("POLYQUOT_MAX_COSETS", "abc")
-    code, _, err = run(capsys, "catalog")
+    code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross")
     assert code == 3 and err.startswith("usage error:")
+
+
+CASE10 = ("--facet", "cube", "--vfig", "hemicross")
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--max-cosets", "7"),
+    ("catalog", "--subgroup-bound", "5"),
+    ("catalog", "--stretch"),
+    ("build", *CASE10, "--subgroup-bound", "5"),
+    ("build", *CASE10, "--stretch"),
+    ("quotients", *CASE10, "--stretch"),
+    ("table1", "--subgroup-bound", "5"),
+    ("verify", "--format", "json"),
+    ("export", "--entry", "hemicube", "--subgroup-bound", "5"),
+    ("export", "--entry", "hemicube", "--stretch"),
+    ("export", "--entry", "hemicube", "--format", "text"),
+], ids=lambda argv: " ".join(a for a in argv if a not in CASE10))
+def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("usage error:")
+
+
+def test_table1_text(capsys):
+    code, out, _ = run(capsys, "table1")
+    assert code == 0
+    assert sum(line.startswith("case") for line in out.splitlines()) == 22
+
+
+def test_quotients_case10_dot(capsys):
+    code, out, _ = run(capsys, "quotients", *CASE10, "--format", "dot")
+    assert code == 0 and out.startswith("digraph quotients")
+    assert sum("[label=" in line for line in out.splitlines()) == 4
+
+
+def test_quotients_exceeded_coset_budget(capsys):
+    code, _, err = run(capsys, "quotients", "--facet", "cube", "--vfig", "hemi-icosahedron",
+                       "--max-cosets", "100")
+    assert code == 2 and err == "coset enumeration exceeded the limit\n"
+
+
+def test_quotients_of_a_collapsed_case(capsys):
+    code, _, err = run(capsys, "quotients", "--facet", "hemicube", "--vfig", "icosahedron")
+    assert code == 1 and err.startswith("universal does not exist: collapsed")
+
+
+def test_quotients_subgroup_bound_exceeded(capsys):
+    code, out, err = run(capsys, "quotients", *CASE10, "--subgroup-bound", "100")
+    assert code == 2 and out == ""
+    assert err == "group order 192 exceeds subgroup-enumeration bound 100\n"
+
+
+def test_build_case11_json(capsys):
+    code, out, _ = run(capsys, "build", "--facet", "hemicube", "--vfig", "hemicross",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["group_order"] == 96
+
+
+def test_export_universal_flag_graph(capsys):
+    code, out, _ = run(capsys, "export", *CASE10, "--what", "flags")
+    assert code == 0 and out.startswith("graph flags")
+    assert out.count(" -- ") == 384  # 192 flags, 4 adjacencies
+
+
+def test_export_universal_json(capsys):
+    code, out, _ = run(capsys, "export", *CASE10, "--what", "json")
+    assert code == 0 and json.loads(out)["face_counts"] == [8, 12, 12, 4]
 
 
 def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):

@@ -251,7 +251,7 @@ def test_conjugates_counts(cube, cube_xyz):
 def test_center_is_normal(cube, cube_xyz):
     x, y, z = cube_xyz
     xyz = cube.mul(cube.mul(x, y), z)
-    assert cube.subgroup([xyz]).is_normal()
+    assert len(conjugates(cube, cube.subgroup([xyz]))) == 1
 
 
 def test_intersections(cube, cube_xyz):

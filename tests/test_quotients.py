@@ -8,10 +8,9 @@ from polyquot.catalog import entry_by_name, identify
 from polyquot.permgroups import (MarkedGroup, conjugates, enumerate_subgroups,
                                  enumerate_subgroups_within,
                                  product_set_intersect)
-from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal,
+from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal, is_regular,
                                 polytope_from_group, section, section_profile)
-from polyquot.quotients import (PAPER_QUOTED, CaseContribution,
-                                aggregate_summary, classify_quotients,
+from polyquot.quotients import (classify_quotients,
                                 is_semisparse, is_semisparse_product_criterion,
                                 quotient_candidate, quotient_lattice_dot,
                                 quotient_polytope, semisparse_allowed_mask,
@@ -43,7 +42,7 @@ def test_cube_semisparse_list(cube, xyz):
     x, y, z = xyz
     classes = semisparse_classes(cube)
     assert len(classes) == 4
-    profile = sorted((c.order, c.size, c.rep.is_normal()) for c in classes)
+    profile = sorted((c.order, c.size, len(conjugates(cube, c.rep)) == 1) for c in classes)
     assert profile == [(1, 1, True), (2, 1, True), (2, 3, False), (4, 1, True)]
     # the named subgroups land in the right classes
     xy, yz = cube.mul(x, y), cube.mul(y, z)
@@ -152,7 +151,7 @@ def test_case10_central_quotient_is_case11(ws):
     rep = ws.report(10)
     central = [r for r in rep.records
                if r.subgroup_order == 2 and r.class_size == 1][0]
-    assert central.subgroup.is_normal()
+    assert len(conjugates(ws.universal(10).group, central.subgroup)) == 1
     assert are_isomorphic(central.polytope, ws.universal(11).polytope())
 
 
@@ -168,11 +167,27 @@ def test_fast_path_agrees_with_ground_truth_on_192(ws):
 
 
 def test_regular_iff_normal_on_reports(ws):
-    for case in (7, 10, 11, 12):
+    """The record's regularity and normality, read from the class size, agree
+    with the conjugates counted and with regularity by certificates."""
+    for case in (7, 10, 11, 12, 13, 19, 21):
+        g = ws.universal(case).group
         for r in ws.report(case).records:
-            assert r.is_regular == r.is_normal
+            normal = len(conjugates(g, r.subgroup)) == 1
+            assert (r.is_regular == r.is_normal == (r.class_size == 1) == normal
+                    == is_regular(r.polytope)), (case, r.subgroup_order)
             if r.is_regular:
                 assert r.is_section_regular
+
+
+def test_aut_order_is_flags_over_class_size(ws):
+    """|Aut(P/N)| = |N_W(N)/N| = flags / class size, the automorphisms
+    counted by certificates."""
+    records = [r for case in (7, 10, 11, 12, 21) for r in ws.report(case).records]
+    small13 = [r for r in ws.report(13).records if r.polytope.n_flags <= 240]
+    assert len(small13) == 9 and sum(not r.is_regular for r in small13) == 8
+    for r in records + small13:
+        assert r.polytope.aut_order == r.polytope.n_flags // r.class_size, r.subgroup_order
+    assert any(r.class_size == 3 and r.polytope.aut_order == 32 for r in ws.report(10).records)
 
 
 def test_quotient_facet_counts_bounded(ws):
@@ -222,32 +237,6 @@ def test_quotient_lattice_dot(ws):
     assert dot.count("q0") >= 1 and "->" in dot
 
 
-def test_aggregate_summary_totals():
-    contribs = [
-        CaseContribution(7, "computed", 1, 1, 1),
-        CaseContribution(10, "computed", 4, 3, 3),
-        CaseContribution(11, "computed", 1, 1, 1),
-        CaseContribution(12, "computed", 4, 3, 3),
-        CaseContribution(13, "computed", 70, 3, 12),
-        CaseContribution(19, "computed", 70, 3, 12),
-        CaseContribution(21, "computed", 1, 1, 1),
-        PAPER_QUOTED[20], PAPER_QUOTED[22],
-    ]
-    s = aggregate_summary(contribs)
-    assert s.total_with_multiplicity == 441
-    assert (s.total, s.regular, s.section_regular) == (437, 17, 169)
-    assert s.abstract_total == 441
-    assert s.unverified_cases == [20, 22]
-    assert len(s.degenerate_extras) == 4
-    js = s.to_json()
-    assert js["totals"] == {"quotients": 437, "regular": 17, "section_regular": 169}
-
-
-def test_aggregate_summary_empty():
-    s = aggregate_summary([])
-    assert s.total == 0 and s.regular == 0 and s.abstract_total == 0
-
-
 def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
     from polyquot import quotients as pq
 
@@ -286,6 +275,26 @@ def test_case10_builds_no_section(ws, monkeypatch):
     rep = pq.classify_quotients(g, "case10")
     assert rep.total_quotients == 4
     assert calls == []
+
+
+def test_case10_certifies_no_quotient(ws, monkeypatch):
+    """Regularity comes from the class size: no certificate runs on a
+    rank-4 flag graph, only on the rank-3 parabolics' quotients."""
+    from polyquot import polytopes, quotients as pq
+
+    ranks = []
+    real = polytopes._certificate_from
+
+    def counting(adj, start):
+        ranks.append(len(adj))
+        return real(adj, start)
+
+    monkeypatch.setattr(polytopes, "_certificate_from", counting)
+    g = ws.universal(10).group
+    monkeypatch.setattr(g, "_parabolics", {})  # the class tables are built in the call
+    rep = pq.classify_quotients(g, "case10")
+    assert (rep.total_quotients, rep.regular_count) == (4, 3)
+    assert ranks and set(ranks) == {3}
 
 
 @pytest.mark.parametrize("case", [7, 10, 11, 12, 13, 19, 21])
