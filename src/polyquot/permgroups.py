@@ -31,16 +31,33 @@ transitive.  The c_k are then involutions too, so testing that adds nothing.
 Generators that do not act regularly raise ValueError before any element id
 is handed out.
 
-Subgroup-class enumeration uses cyclic extension (prime-index extensions
-inside the normalizer) plus joins with odd-prime-power cyclic subgroups.
-Cyclic extension alone reaches exactly the soluble subgroups; the odd joins
-bridge to perfect subgroups (A_5 inside L_2(11), L_2(19), 2^6:A_5), since any
-subgroup is generated by its Sylow subgroups and odd Sylows are generated by
-odd-order cyclic subgroups of prime-power order.  A class representative H
-is generated by its recorded generators, so the join of H with a cyclic
-subgroup <z> is the closure of those generators and z: one frontier BFS of
-table gathers (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-section 10).
+Subgroup classes come from two moves, the zuppo form of Neubüser's cyclic
+extension method (Neubüser, Numer. Math. 2, 1960; Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, section 10).  A class
+representative H is extended to H u Hc for each c in N(H) outside H with c^2
+in H (index 2), and, only when H is odd-generated, joined with each cyclic
+subgroup of odd prime-power order (an odd zuppo).  For a subgroup K let O(K)
+be the subgroup generated by K's elements of odd order.  The two moves reach
+every class of subgroups whose elements all lie in a conjugation-closed mask:
+
+- O(K) is normal in K, its generating set being closed under conjugation.
+  Every element's odd part is a power of it lying in O(K), so every element
+  of K/O(K) has 2-power order and K/O(K) is a 2-group.  A 2-group has a chain
+  of subgroups, each normal of index 2 in the next, so index-2 extensions
+  climb from O(K) to K.
+- An odd-order element is a product of commuting powers of odd prime-power
+  order, so O(K) is generated by odd zuppos z1, z2, ....  The chain
+  <z1> < <z1, z2> < ... reaches O(K) through odd-generated subgroups only.
+- An index-2 extension K = H u Hc is never odd-generated: an odd-order
+  element maps to an odd-order element of K/H = C2, so it lies in H.  So the
+  joins, from the trivial class on, produce exactly the odd-generated
+  classes, and a class's flag "found by a join" is "odd-generated".
+- The mask is an element condition, so every intermediate subgroup of an
+  allowed K is allowed.
+
+A class representative H is generated by its recorded generators, so the
+join of H with <z> is the closure of those generators and z: one frontier
+BFS of table gathers.
 """
 
 from __future__ import annotations
@@ -100,29 +117,16 @@ def _ids_key(ids) -> bytes:
     return np.ascontiguousarray(ids, dtype=np.int32).tobytes()
 
 
-def _primes_dividing(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
+def _is_odd_prime_power(n: int) -> bool:
+    """Whether n = p^k for an odd prime p and k >= 1."""
+    if n < 3 or n % 2 == 0:
         return False
-    for p in _primes_dividing(n):
-        k = n
-        while k % p == 0:
-            k //= p
-        return k == 1
-    return False
+    p = 3
+    while n % p:
+        p += 2
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +238,6 @@ class MarkedGroup:
     def conj(self, a, g):
         """g^-1 * a * g, by ids (a may be an array)."""
         return self.mul(self.mul(self.inverse(g), a), g)
-
-    def power(self, a, k: int):
-        """a^k by id; a may be an array."""
-        a = np.asarray(a)
-        res = np.zeros_like(a)
-        base = a.copy()
-        while k:
-            if k & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return res
 
     @property
     def element_orders(self) -> np.ndarray:
@@ -396,7 +388,8 @@ class SubgroupClass:
 
 
 class _Zuppos:
-    """Cyclic subgroups of prime-power order, with the conjugation action."""
+    """Allowed cyclic subgroups of odd prime-power order, with the
+    conjugation action."""
 
     def __init__(self, g: MarkedGroup, allowed: np.ndarray):
         orders = g.element_orders
@@ -405,7 +398,7 @@ class _Zuppos:
         self.of_elem = np.full(g.order, -1, dtype=np.int64)
         for e in range(1, g.order):
             o = int(orders[e])
-            if not _is_prime_power(o):
+            if not _is_odd_prime_power(o):
                 continue
             if self.of_elem[e] >= 0 or not allowed[e]:
                 continue
@@ -422,10 +415,11 @@ class _Zuppos:
             self.gen_elem.append(e)
             gens_mask = orders[ids] == o
             self.of_elem[ids[gens_mask]] = z
-        self.odd = [z for z, e in enumerate(self.gen_elem) if int(orders[e]) % 2 == 1]
 
 
 def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[SubgroupClass]:
+    """Index-2 extensions from every class, odd-zuppo joins from the
+    odd-generated ones (see the module docstring)."""
     if g.order > order_bound:
         raise BoundExceeded(
             f"group order {g.order} exceeds subgroup-enumeration bound {order_bound}")
@@ -433,19 +427,21 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[Subg
     R = g.rmul
     n = g.order
     zup = _Zuppos(g, allowed)
-    primes = _primes_dividing(n)
 
     member_key_to_class: dict[bytes, int] = {}
     reps: list[np.ndarray] = []
     rep_gens: list[tuple[int, ...]] = []
     normalizers: list[np.ndarray] = []
     sizes: list[int] = []
+    odd_generated: list[bool] = []
+    queue = deque()
 
-    def register(ids: np.ndarray, gen_ids: tuple[int, ...]) -> int | None:
-        """Record the class of `ids`; return class index if new, else None."""
+    def register(ids: np.ndarray, gen_ids: tuple[int, ...], odd: bool):
+        """Record and queue the class of `ids`, unless it is known; `odd`
+        says whether it is odd-generated, that is, found by a join."""
         key = _ids_key(ids)
         if key in member_key_to_class:
-            return None
+            return
         sub = Subgroup(g, ids, gen_ids)
         trans = _class_transversal(g, sub)
         rows = _conjugate_class_rows(g, sub.elem_ids, trans)
@@ -463,14 +459,12 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[Subg
         rep_gens.append(rep_gen_ids)
         normalizers.append(norm.astype(np.int32))
         sizes.append(len(uniq))
+        odd_generated.append(odd)
         for row in uniq:
             member_key_to_class[_ids_key(row)] = cls
-        return cls
+        queue.append(cls)
 
-    trivial = np.array([0], dtype=np.int32)
-    queue = deque()
-    first = register(trivial, ())
-    queue.append(first)
+    register(np.array([0], dtype=np.int32), (), True)
 
     def coset_reduced(cands: np.ndarray, H: np.ndarray) -> np.ndarray:
         """Keep one candidate per coset H*c: the first one met."""
@@ -485,45 +479,27 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[Subg
         N = normalizers[cls].astype(np.int64)
         in_H = np.zeros(n, dtype=bool)
         in_H[H] = True
-        # cyclic extensions: g in N(H) \ H with g^p in H, prime p
+        # index-2 extensions H u Hc: c in N(H) \ H with c^2 in H
         outside = N[~in_H[N] & allowed[N]]
-        for p in primes:
-            if outside.size == 0:
-                break
-            pw = g.power(outside, p)
-            cands = outside[in_H[pw]]
-            for c in coset_reduced(cands, H):
-                parts = [H]
-                x = int(c)
-                for _ in range(p - 1):
-                    parts.append(R[x][H.astype(np.int64)].astype(np.int32))
-                    x = int(R[int(c), x])
-                K = np.unique(np.concatenate(parts))
-                if not allowed[K].all():
-                    continue
-                new = register(K, h_gens + (int(c),))
-                if new is not None:
-                    queue.append(new)
-        # odd-zuppo joins (reach non-soluble subgroups)
-        if zup.odd:
-            # orbit representatives of zuppos under N(H)
-            seen_orbit = np.zeros(len(zup.sets), dtype=bool)
-            invN = g.inv_ids[N]
-            for z in zup.odd:
-                if seen_orbit[z]:
-                    continue
-                e = zup.gen_elem[z]
-                seen_orbit[zup.of_elem[R[N, R[e][invN]]]] = True
-                if in_H[zup.sets[z]].all():
-                    continue
-                gens2 = h_gens + (e,)
-                K = g.closure_ids(gens2)  # H = <h_gens>, so K = <H, e>
-                if not allowed[K].all():
-                    continue
-                new = register(K, gens2)
-                if new is not None:
-                    queue.append(new)
-        # mark this class done; nothing else to do
+        for c in coset_reduced(outside[in_H[R[outside, outside]]], H):
+            K = np.union1d(H, R[c][H])
+            if allowed[K].all():
+                register(K, h_gens + (int(c),), False)
+        if not odd_generated[cls]:
+            continue
+        # odd-zuppo joins, one per N(H)-orbit of zuppos
+        seen_orbit = np.zeros(len(zup.sets), dtype=bool)
+        invN = g.inv_ids[N]
+        for z, e in enumerate(zup.gen_elem):
+            if seen_orbit[z]:
+                continue
+            seen_orbit[zup.of_elem[R[N, R[e][invN]]]] = True
+            if in_H[zup.sets[z]].all():
+                continue
+            gens2 = h_gens + (e,)
+            K = g.closure_ids(gens2)  # H = <h_gens>, so K = <H, e>
+            if allowed[K].all():
+                register(K, gens2, True)
 
     order_key = sorted(range(len(reps)), key=lambda c: (len(reps[c]), tuple(reps[c])))
     return [SubgroupClass(Subgroup(g, reps[c], rep_gens[c]), sizes[c]) for c in order_key]
@@ -540,7 +516,8 @@ def enumerate_subgroups(g: MarkedGroup, order_bound: int = DEFAULT_SUBGROUP_BOUN
 
 def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
                                order_bound: int = DEFAULT_SUBGROUP_BOUND) -> list[SubgroupClass]:
-    """Subgroup classes whose elements all lie in the `allowed` mask.
+    """Subgroup classes whose elements all lie in the `allowed` mask, in the
+    order of `enumerate_subgroups`: by (order, representative element ids).
 
     The mask must be closed under conjugation; subsets of allowed subgroups
     are allowed, so the search runs the same extension/join moves restricted

@@ -337,7 +337,8 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
 
     Facets and vertex figures are named, and section regularity decided,
     from the classes of the rank-3 parabolics (see the module docstring);
-    no section of a quotient is built."""
+    no section of a quotient is built.  The records come in the lattice's
+    order: by subgroup order, then the representative's element ids."""
     require_polytope_group(g)
     if g.rank != 4:
         raise ValueError(f"quotients are classified for rank-4 groups, not rank {g.rank}")
@@ -364,7 +365,6 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
             vfig_classes=names[1],
             type_symbol=qp.schlafli_type(),
         ))
-    records.sort(key=lambda r: (r.subgroup_order, tuple(r.subgroup.elem_ids)))
     return ClassificationReport(universal_name, g.order, records)
 
 

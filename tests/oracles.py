@@ -106,14 +106,18 @@ def _index_table(elems):
     return order, index, mul, inv, ident
 
 
-def brute_force_subgroups(elems):
-    """Every subgroup of a group given as a set of tuple permutations.
+def brute_force_subgroups(elems, allowed=None):
+    """Every subgroup of a group given as a set of tuple permutations, or,
+    given a set `allowed` of its elements, every subgroup inside that set.
 
-    Exhaustive extension: every known subgroup is extended by every element.
+    Exhaustive extension: every known subgroup is extended by every (allowed)
+    element, and a subgroup with an element outside `allowed` is dropped.
+    Every subgroup of an allowed subgroup is allowed, so nothing is lost.
     Subgroups are returned as frozensets of tuple permutations.
     """
     order, index, mul, inv, ident = _index_table(elems)
     n = len(order)
+    ok = [allowed is None or x in allowed for x in order]
 
     def close(gens):
         seen = {ident}
@@ -136,10 +140,10 @@ def brute_force_subgroups(elems):
         for sub in frontier:
             gens = gens_of[sub]
             for e in range(n):
-                if e in sub:
+                if e in sub or not ok[e]:
                     continue
                 bigger = close(gens + (e,))
-                if bigger not in gens_of:
+                if bigger not in gens_of and all(ok[x] for x in bigger):
                     gens_of[bigger] = gens + (e,)
                     new.append(bigger)
         frontier = new

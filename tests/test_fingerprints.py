@@ -3,14 +3,17 @@
 sha256 of `polyquot quotients --facet F --vfig V --format json` for each
 desk-scale case and of `polyquot table1 --format json`, as recorded in
 CHANGES.md.  The quotient reports come from the session workspace, so nothing
-is classified twice.  The reports do not show the representatives' generators,
-so the masked subgroup lattice that the quotient search walks is fingerprinted
-too: class sizes, representative element ids and generator ids.
+is classified twice.  The masked subgroup lattice that the quotient search
+walks is fingerprinted too, by class sizes and representative element ids.
+The generators recorded with a representative follow the search's path, so
+they are not pinned; each class is checked to be generated by them, which is
+what the conjugacy transversals need.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from polyquot.amalgam import case_spec
@@ -29,12 +32,13 @@ QUOTIENTS_SHA256 = {
 }
 TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b03657366042"
 MASKED_LATTICE_SHA256 = {
-    7: "4263b9045f343a92f0e6093ed86e096d53a193efaefc64a958c7f7878eeb7954",
-    10: "4d1d9ea72078f63caf8a85024d02f657ac46c2db531b34e5945b2f1ceb5fa4b2",
-    11: "fb3d3f03278715d114f44f7798c7cad89e442803d11614133a8f960426c679ed",
-    12: "a5ec9f303cffc5c9fdea1b9e5bff4b51cfb2362b70dc7f8c0ae465a4faa375e8",
-    13: "df7b9054e98aca3df257b82d2ea726acdd811f421cfb969ea0698083a7768c46",
-    21: "454d84a19129563892097843234155b6bcc0e69457321c1cedc0b6f0ff13d462",
+    7: "e153e001d02e805c771be40d77376489ba164e9874ad3fd81a9e450ca55096e8",
+    10: "a8da9f3850f6f887e56706a4f121d5fc7753715da66ff68b5ca9907050deb0f3",
+    11: "02eb964b6289dc0b06892db82e7e46ba06c961baf68f46b054005bd95ad9b8d1",
+    12: "3869eecbc6d95d7f609d71340a32d6bc18a0707cfced61daedea3e2e7fd495d4",
+    13: "efa6a97e80f0e0d3d42ffa626121c61a6e7afccd83efdf7a724e7ab732dc0129",
+    19: "c8ac69c6a18aefd104b450f998b7c4e289b3ea65c679519c97ea0954dc2949b9",
+    21: "8780b688937b841f5413aab65f3898e215385755c3eefcf7a42fecc845b2a813",
 }
 
 
@@ -58,5 +62,7 @@ def test_table1_json_fingerprint(capsys):
 def test_masked_lattice_fingerprint(ws, case):
     g = ws.universal(case).group
     classes = enumerate_subgroups_within(g, semisparse_allowed_mask(g))
-    rows = [[c.size, c.rep.elem_ids.tolist(), list(c.rep.gen_ids)] for c in classes]
+    rows = [[c.size, c.rep.elem_ids.tolist()] for c in classes]
     assert _sha256(json.dumps(rows)) == MASKED_LATTICE_SHA256[case]
+    for c in classes:  # conjugacy transversals read the recorded generators
+        assert np.array_equal(g.closure_ids(c.rep.gen_ids), c.rep.elem_ids)

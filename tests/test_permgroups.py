@@ -9,11 +9,12 @@ from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, ditope_group
 from polyquot.coset import coset_enumeration, perm_rep
 from polyquot.amalgam import twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
-                                 conjugates, enumerate_subgroups, intersect,
-                                 orbit_min_labels, product_set_intersect)
+                                 conjugates, enumerate_subgroups, enumerate_subgroups_within,
+                                 intersect, orbit_min_labels, product_set_intersect)
+from polyquot.quotients import semisparse_allowed_mask
 
 from oracles import (brute_force_products, brute_force_subgroups,
-                     conjugacy_partition, mulclose, orbit_minima)
+                     conjugacy_partition, mulclose, orbit_minima, perm_mul)
 
 
 def realize(entries, petrie=None):
@@ -89,10 +90,14 @@ def test_is_member(cube):
 
 def test_element_order_and_inverse(cube):
     orders = cube.element_orders
-    assert orders[0] == 1
+    ident = tuple(range(cube.degree))
     for e in range(cube.order):
         assert cube.mul(e, cube.inverse(e)) == 0
-        assert cube.power(np.array([e]), int(orders[e]))[0] == 0
+        p = tuple(cube.elements[e].tolist())
+        q, k = p, 1
+        while q != ident:
+            q, k = perm_mul(q, p), k + 1
+        assert orders[e] == k
 
 
 def test_element_orders_computed_once(cube):
@@ -190,12 +195,22 @@ def test_enumerate_subgroups_s3():
     assert sorted(c.order for c in classes) == [1, 2, 3, 6]
 
 
-def test_cube_subgroups_against_brute_force(cube):
-    classes = enumerate_subgroups(cube)
-    elems = mulclose([np.asarray(g) for g in cube.gens])
-    all_subs = brute_force_subgroups(elems)
-    assert sum(c.size for c in classes) == len(all_subs)
+def _assert_classes_match_brute_force(g, classes, allowed=None):
+    """The classes' members are exactly the oracle's subgroups, and the
+    classes are the oracle's conjugacy classes."""
+    elems = mulclose([s.tolist() for s in g.gens])
+    perms = [tuple(row) for row in g.elements.tolist()]
+    all_subs = brute_force_subgroups(
+        elems, None if allowed is None else {perms[i] for i in np.flatnonzero(allowed)})
+    members = [frozenset(perms[i] for i in h.elem_ids)
+               for c in classes for h in conjugates(g, c.rep)]
+    assert set(members) == all_subs
+    assert sum(c.size for c in classes) == len(members) == len(all_subs)
     assert len(classes) == len(conjugacy_partition(all_subs, elems))
+
+
+def test_cube_subgroups_against_brute_force(cube):
+    _assert_classes_match_brute_force(cube, enumerate_subgroups(cube))
 
 
 def test_subgroup_bound():
@@ -310,14 +325,23 @@ def test_order_matches_brute_force_closure():
 @pytest.mark.parametrize("name", ["tetrahedron", "hemicube", "hemicross",
                                   "cube", "octahedron",
                                   "hemidodecahedron", "hemi-icosahedron",
-                                  "dodecahedron", "icosahedron"])
+                                  "dodecahedron", "icosahedron"]
+                         # order 4p; at p = 9 the cyclic subgroups of order 9
+                         # need a zuppo of odd prime-power, not prime, order
+                         + [f"{family}({p})" for family in ("dihedron", "hosohedron")
+                            for p in range(2, 16)])
 def test_subgroup_classes_against_brute_force_catalog(name):
     g = entry_by_name(name).group()
-    classes = enumerate_subgroups(g)
-    elems = mulclose([np.asarray(x) for x in g.gens])
-    all_subs = brute_force_subgroups(elems)
-    assert sum(c.size for c in classes) == len(all_subs)
-    assert len(classes) == len(conjugacy_partition(all_subs, elems))
+    _assert_classes_match_brute_force(g, enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize("case, subgroups, classes", [(10, 140, 30), (11, 31, 6)])
+def test_masked_lattice_against_brute_force(ws, case, subgroups, classes):
+    g = ws.universal(case).group
+    allowed = semisparse_allowed_mask(g)
+    found = enumerate_subgroups_within(g, allowed)
+    assert (sum(c.size for c in found), len(found)) == (subgroups, classes)
+    _assert_classes_match_brute_force(g, found, allowed)
 
 
 def test_conjugacy_transitive(cube, cube_xyz):
