@@ -6,10 +6,35 @@ through it before the next definition.  Coset numbering is therefore a pure
 function of the presentation and subgroup words.  Since every generator is an
 involution the alphabet needs no inverses and each table column of a closed
 table is an involutory permutation of the cosets.
+
+Storage.  The working table is one flat `array('i')` column per generator,
+`cols[x][alpha]` being alpha·x or -1 while undefined; the union-find parents
+`p` and the deduction stack (one array of cosets, one of generators) are
+`array('i')` too, about 20 bytes per defined coset in all.  Each relator
+rotation is bound once to its tuple of columns, so a scan reads
+`wc[i][alpha]` with no indexing by letter.  The closing step renumbers the
+live cosets with numpy straight from these buffers.
+
+One scan per deduction.  A deduction (alpha, x), with alpha·x = beta, is
+scanned at alpha only, against `edp[x]`: the rotations of the relators and of
+their reverses that start with x.  This covers the scans at beta too.  A
+relator cycle through the edge alpha–beta read from beta, beta -x-> alpha
+-v-> beta, is read backwards from alpha as alpha -x-> beta -v'-> alpha, with
+v' the reverse of v: every letter is an involution, so walking an edge
+backwards reads the same letter.  That word x·v' is a rotation of the
+reversed relator and starts with x, so it is in `edp[x]`.  A scan runs both
+ways from its start until it meets a gap, and alpha and beta are joined by a
+defined edge, so both scans see the same gaps and make the same deduction or
+coincidence.  Emptying the stack after a definition reaches the least table
+closed under these deductions and coincidences, whatever order the scans come
+in, and a class of merged cosets keeps its least member; so the coset
+numbering, the definition order and `cosets_defined` are those of a scan at
+both ends.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -58,18 +83,23 @@ class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.rank = pres.rank
         self.max_cosets = max_cosets
-        self.table = [[-1] * self.rank]  # -1 = undefined
-        self.p = [0]
-        self.deductions: list[tuple[int, int]] = []
-        # relator rotations (of the word and its reverse) indexed by first letter
-        self.edp: list[list[Word]] = [[] for _ in range(self.rank)]
+        self.cols = [array("i", [-1]) for _ in range(self.rank)]  # -1 = undefined
+        self.p = array("i", [0])
+        self.ded_coset = array("i")
+        self.ded_gen = array("i")
+        # relator rotations (of the word and its reverse) indexed by first
+        # letter, each with the table columns it reads
+        self.edp: list[list[tuple[Word, tuple[array, ...]]]] = [[] for _ in range(self.rank)]
         rots = set()
         for rel in normalize_relators(pres.relators):
             for w in (rel, rel[::-1]):
                 for i in range(len(w)):
                     rots.add(w[i:] + w[:i])
         for w in sorted(rots):
-            self.edp[w[0]].append(w)
+            self.edp[w[0]].append((w, self._columns(w)))
+
+    def _columns(self, word: Word) -> tuple[array, ...]:
+        return tuple(self.cols[x] for x in word)
 
     # -- union-find over cosets ------------------------------------------
 
@@ -90,108 +120,120 @@ class _Enumerator:
             queue.append(hi)
 
     def _coincidence(self, a: int, b: int):
-        table = self.table
         queue: deque[int] = deque()
         self._merge(a, b, queue)
         while queue:
             gamma = queue.popleft()
-            for x in range(self.rank):
-                delta = table[gamma][x]
+            for x, col in enumerate(self.cols):
+                delta = col[gamma]
                 if delta == -1:
                     continue
-                table[delta][x] = -1
-                self.deductions.append((delta, x))
+                col[delta] = -1
+                self.ded_coset.append(delta)
+                self.ded_gen.append(x)
                 mu, nu = self.rep(gamma), self.rep(delta)
-                if table[mu][x] != -1:
-                    self._merge(nu, table[mu][x], queue)
-                elif table[nu][x] != -1:
-                    self._merge(mu, table[nu][x], queue)
+                if col[mu] != -1:
+                    self._merge(nu, col[mu], queue)
+                elif col[nu] != -1:
+                    self._merge(mu, col[nu], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x] = mu
+                    col[mu] = nu
+                    col[nu] = mu
 
     # -- scanning ---------------------------------------------------------
 
-    def _scan(self, alpha: int, word: Word, fill: bool = False):
-        """Scan `word` from alpha forwards and backwards.  A scan that closes
-        gives a coincidence, one with a single gap a deduction.  A longer gap
-        gives nothing, unless `fill`: then the next coset forward is defined
-        and the scan runs again."""
-        table = self.table
+    def _scan(self, alpha: int, word: Word, wc: tuple[array, ...], fill: bool = False):
+        """Scan `word`, whose columns are `wc`, from alpha forwards and
+        backwards.  A scan that closes gives a coincidence, one with a single
+        gap a deduction.  A longer gap gives nothing, unless `fill`: then the
+        next coset forward is defined and the scan runs again."""
         while True:
             f, i = alpha, 0
             b, j = alpha, len(word) - 1
-            while i <= j and table[f][word[i]] != -1:
-                f = table[f][word[i]]
+            while i <= j:
+                nxt = wc[i][f]
+                if nxt == -1:
+                    break
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
                 return
-            while j >= i and table[b][word[j]] != -1:
-                b = table[b][word[j]]
+            while j >= i:
+                nxt = wc[j][b]
+                if nxt == -1:
+                    break
+                b = nxt
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
             elif j == i:
-                table[f][word[i]] = b
-                table[b][word[i]] = f
-                self.deductions.append((f, word[i]))
+                col = wc[i]
+                col[f] = b
+                col[b] = f
+                self.ded_coset.append(f)
+                self.ded_gen.append(word[i])
             elif fill:
                 self._define(f, word[i])
                 continue
             return
 
     def _define(self, alpha: int, x: int):
-        if len(self.table) >= self.max_cosets:
+        beta = len(self.p)
+        if beta >= self.max_cosets:
             raise _Overflow
-        beta = len(self.table)
-        self.table.append([-1] * self.rank)
+        for col in self.cols:
+            col.append(-1)
         self.p.append(beta)
-        self.table[alpha][x] = beta
-        self.table[beta][x] = alpha
-        self.deductions.append((alpha, x))
+        self.cols[x][alpha] = beta
+        self.cols[x][beta] = alpha
+        self.ded_coset.append(alpha)
+        self.ded_gen.append(x)
 
     def _process_deductions(self):
-        table = self.table
-        while self.deductions:
-            alpha, x = self.deductions.pop()
-            if self.p[alpha] == alpha:
-                for w in self.edp[x]:
-                    self._scan(alpha, w)
-                    if self.p[alpha] != alpha:
-                        break
-            if self.p[alpha] != alpha:
+        p, ded_coset, ded_gen, edp = self.p, self.ded_coset, self.ded_gen, self.edp
+        while ded_coset:
+            alpha = ded_coset.pop()
+            x = ded_gen.pop()
+            if p[alpha] != alpha:
                 continue
-            beta = table[alpha][x]
-            if beta != -1 and self.p[beta] == beta:
-                for w in self.edp[x]:
-                    self._scan(beta, w)
-                    if self.p[beta] != beta:
-                        break
+            for w, wc in edp[x]:
+                self._scan(alpha, w, wc)
+                if p[alpha] != alpha:
+                    break
 
-    def run(self, subgroup_words) -> tuple[str, list[list[int]], int]:
+    def run(self, subgroup_words) -> tuple[str, np.ndarray, int]:
+        p, cols = self.p, self.cols
         try:
             for w in subgroup_words:
                 if w:
-                    self._scan(0, tuple(w), fill=True)
+                    self._scan(0, w, self._columns(w), fill=True)
                     self._process_deductions()
             alpha = 0
-            while alpha < len(self.table):
-                if self.p[alpha] == alpha:
-                    for x in range(self.rank):
-                        if self.p[alpha] != alpha:
+            while alpha < len(p):
+                if p[alpha] == alpha:
+                    for x, col in enumerate(cols):
+                        if p[alpha] != alpha:
                             break
-                        if self.table[alpha][x] == -1:
+                        if col[alpha] == -1:
                             self._define(alpha, x)
                             self._process_deductions()
                 alpha += 1
         except _Overflow:
-            return EXCEEDED, [], len(self.table)
-        live = [a for a in range(len(self.table)) if self.p[a] == a]
-        renum = {a: i for i, a in enumerate(live)}
-        rows = [[renum[self.table[a][x]] for x in range(self.rank)] for a in live]
-        return CLOSED, rows, len(self.table)
+            return EXCEEDED, np.empty((0, self.rank), dtype=np.int32), len(p)
+        return CLOSED, self._live_table(), len(p)
+
+    def _live_table(self) -> np.ndarray:
+        """The live cosets' rows, renumbered 0, 1, ... in coset order."""
+        n = len(self.p)
+        live = np.flatnonzero(np.frombuffer(self.p, dtype=np.int32) == np.arange(n))
+        renum = np.empty(n, dtype=np.int32)
+        renum[live] = np.arange(len(live), dtype=np.int32)
+        table = np.empty((len(live), self.rank), dtype=np.int32)
+        for x, col in enumerate(self.cols):
+            table[:, x] = renum[np.frombuffer(col, dtype=np.int32)[live]]
+        return table
 
 
 class _Overflow(Exception):
@@ -208,12 +250,13 @@ def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = D
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     words = tuple(tuple(w) for w in subgroup_words)
-    status, rows, defined = _Enumerator(pres, max_cosets).run(words)
-    if status == CLOSED:
-        arr = np.array(rows, dtype=np.int32).reshape(len(rows), pres.rank)
-    else:
-        arr = np.empty((0, pres.rank), dtype=np.int32)
-    return CosetTable(pres, words, arr, status, defined)
+    for w in words:
+        for g in w:
+            if not 0 <= g < pres.rank:
+                raise ValueError(f"generator index {g} out of range in subgroup word {w} "
+                                 f"(rank {pres.rank})")
+    status, table, defined = _Enumerator(pres, max_cosets).run(words)
+    return CosetTable(pres, words, table, status, defined)
 
 
 def perm_rep(table: CosetTable):

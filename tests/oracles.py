@@ -9,6 +9,8 @@ from array import array
 from collections import deque
 from itertools import permutations, product
 
+from polyquot.presentations import Presentation, Word, normalize_relators
+
 
 def perm_mul(p, q):
     """Apply p then q."""
@@ -323,3 +325,155 @@ def maximal_chain_count(counts, incidences):
             up[b] += ways[a]
         ways = up
     return sum(ways)
+
+
+class ReferenceEnumerator:
+    """The Felsch coset enumerator as polyquot had it before its table became
+    flat int32 columns: the table is a list of rows, and each deduction is
+    scanned at both of its ends.  Slow,
+    but it is the ground truth that the flat-column enumerator with one scan
+    per deduction must match table for table, coset number for coset number.
+    `run` returns (status, rows, cosets_defined); after an overflow `table`
+    and `p` hold the prefix."""
+
+    def __init__(self, pres: Presentation, max_cosets: int):
+        self.rank = pres.rank
+        self.max_cosets = max_cosets
+        self.table = [[-1] * self.rank]  # -1 = undefined
+        self.p = [0]
+        self.deductions: list[tuple[int, int]] = []
+        # relator rotations (of the word and its reverse) indexed by first letter
+        self.edp: list[list[Word]] = [[] for _ in range(self.rank)]
+        rots = set()
+        for rel in normalize_relators(pres.relators):
+            for w in (rel, rel[::-1]):
+                for i in range(len(w)):
+                    rots.add(w[i:] + w[:i])
+        for w in sorted(rots):
+            self.edp[w[0]].append(w)
+
+    # -- union-find over cosets ------------------------------------------
+
+    def rep(self, k: int) -> int:
+        p = self.p
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
+        return r
+
+    def _merge(self, a: int, b: int, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            lo, hi = min(a, b), max(a, b)
+            self.p[hi] = lo
+            queue.append(hi)
+
+    def _coincidence(self, a: int, b: int):
+        table = self.table
+        queue: deque[int] = deque()
+        self._merge(a, b, queue)
+        while queue:
+            gamma = queue.popleft()
+            for x in range(self.rank):
+                delta = table[gamma][x]
+                if delta == -1:
+                    continue
+                table[delta][x] = -1
+                self.deductions.append((delta, x))
+                mu, nu = self.rep(gamma), self.rep(delta)
+                if table[mu][x] != -1:
+                    self._merge(nu, table[mu][x], queue)
+                elif table[nu][x] != -1:
+                    self._merge(mu, table[nu][x], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x] = mu
+
+    # -- scanning ---------------------------------------------------------
+
+    def _scan(self, alpha: int, word: Word, fill: bool = False):
+        """Scan `word` from alpha forwards and backwards.  A scan that closes
+        gives a coincidence, one with a single gap a deduction.  A longer gap
+        gives nothing, unless `fill`: then the next coset forward is defined
+        and the scan runs again."""
+        table = self.table
+        while True:
+            f, i = alpha, 0
+            b, j = alpha, len(word) - 1
+            while i <= j and table[f][word[i]] != -1:
+                f = table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i and table[b][word[j]] != -1:
+                b = table[b][word[j]]
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+            elif j == i:
+                table[f][word[i]] = b
+                table[b][word[i]] = f
+                self.deductions.append((f, word[i]))
+            elif fill:
+                self._define(f, word[i])
+                continue
+            return
+
+    def _define(self, alpha: int, x: int):
+        if len(self.table) >= self.max_cosets:
+            raise _ReferenceOverflow
+        beta = len(self.table)
+        self.table.append([-1] * self.rank)
+        self.p.append(beta)
+        self.table[alpha][x] = beta
+        self.table[beta][x] = alpha
+        self.deductions.append((alpha, x))
+
+    def _process_deductions(self):
+        table = self.table
+        while self.deductions:
+            alpha, x = self.deductions.pop()
+            if self.p[alpha] == alpha:
+                for w in self.edp[x]:
+                    self._scan(alpha, w)
+                    if self.p[alpha] != alpha:
+                        break
+            if self.p[alpha] != alpha:
+                continue
+            beta = table[alpha][x]
+            if beta != -1 and self.p[beta] == beta:
+                for w in self.edp[x]:
+                    self._scan(beta, w)
+                    if self.p[beta] != beta:
+                        break
+
+    def run(self, subgroup_words) -> tuple[str, list[list[int]], int]:
+        try:
+            for w in subgroup_words:
+                if w:
+                    self._scan(0, tuple(w), fill=True)
+                    self._process_deductions()
+            alpha = 0
+            while alpha < len(self.table):
+                if self.p[alpha] == alpha:
+                    for x in range(self.rank):
+                        if self.p[alpha] != alpha:
+                            break
+                        if self.table[alpha][x] == -1:
+                            self._define(alpha, x)
+                            self._process_deductions()
+                alpha += 1
+        except _ReferenceOverflow:
+            return "exceeded-limit", [], len(self.table)
+        live = [a for a in range(len(self.table)) if self.p[a] == a]
+        renum = {a: i for i, a in enumerate(live)}
+        rows = [[renum[self.table[a][x]] for x in range(self.rank)] for a in live]
+        return "closed", rows, len(self.table)
+
+
+class _ReferenceOverflow(Exception):
+    pass

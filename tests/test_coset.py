@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyquot import coset
+from polyquot.amalgam import LARGE_CASES, TABLE1, amalgam_presentation, case_spec
 from polyquot.catalog import SchlafliSymbol, coxeter_presentation, petrie_relator
 from polyquot.coset import (CLOSED, EXCEEDED, CosetTable, RelatorMismatch,
                             coset_enumeration, perm_rep)
 from polyquot.presentations import Presentation
 
-from oracles import mulclose, signed_permutation_group, full_icosahedral_order
+from oracles import (ReferenceEnumerator, mulclose, signed_permutation_group,
+                     full_icosahedral_order)
 
 
 def cox(*entries):
@@ -36,12 +41,19 @@ def test_hemidodecahedron():
 def test_exceeded_limit_is_reported():
     table = coset_enumeration(cox(4, 3), max_cosets=10)
     assert table.status == EXCEEDED
-    assert table.cosets_defined >= 10
+    assert table.cosets_defined == 10
 
 
 def test_max_cosets_validation():
     with pytest.raises(ValueError):
         coset_enumeration(cox(4, 3), max_cosets=0)
+
+
+@pytest.mark.parametrize("word", [(-1,), (3,)])
+def test_subgroup_word_letters_are_checked(word):
+    # rank 3: -1 would index the last column, 3 no column at all
+    with pytest.raises(ValueError, match=rf"generator index {word[0]} .* \(rank 3\)"):
+        coset_enumeration(cox(4, 3), subgroup_words=[(0,), word])
 
 
 def test_subgroup_enumeration_counts_faces():
@@ -126,3 +138,67 @@ def test_perm_rep_rejects_a_table_that_breaks_a_relator():
     table = CosetTable(pres, (), np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int32), CLOSED, 2)
     with pytest.raises(RelatorMismatch, match="not satisfied"):
         perm_rep(table)
+
+
+def _assert_matches_reference(pres, words=()):
+    table = coset_enumeration(pres, subgroup_words=words)
+    status, rows, defined = ReferenceEnumerator(pres, coset.DEFAULT_MAX_COSETS).run(words)
+    assert (table.status, table.cosets_defined) == (status, defined)
+    assert table.table.tolist() == rows
+    return table
+
+
+# cosets each closed Table 1 enumeration defines, dead ones included, as the
+# reference enumerator defines them
+TABLE1_COSETS_DEFINED = {1: 81, 2: 347, 3: 98, 4: 58, 5: 103, 6: 2950, 7: 660,
+                         8: 3015, 9: 88, 10: 192, 11: 96, 12: 192, 13: 3842,
+                         14: 202, 15: 281, 16: 338, 17: 261, 18: 197, 19: 3841,
+                         21: 3420}
+
+
+@pytest.mark.parametrize("number", [c.number for c in TABLE1 if c.number not in LARGE_CASES])
+def test_table1_against_reference_enumerator(number):
+    table = _assert_matches_reference(amalgam_presentation(case_spec(number).amalgam()))
+    assert table.status == CLOSED
+    assert table.cosets_defined == TABLE1_COSETS_DEFINED[number]
+
+
+@given(st.sampled_from(FINITE_SYMBOLS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_finite_symbols_against_reference_enumerator(symbol, data):
+    # a Coxeter relator reversed is one of its own rotations; a Petrie
+    # relator's reverse is not, so it needs the reversed rotations in `edp`
+    petrie = data.draw(st.sampled_from([(), (petrie_relator(3),), (petrie_relator(5),)]))
+    words = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5)
+                               .map(tuple), max_size=3))
+    _assert_matches_reference(cox(*symbol).with_relators(petrie), words)
+
+
+CASE20_FACET_WORDS = [(0,), (1,), (2,)]
+
+
+def test_case20_prefix_against_reference_enumerator():
+    # cut at 20,000 cosets the table is open: compare the live cosets and
+    # their rows as numbered, after the same closure
+    pres = amalgam_presentation(case_spec(20).amalgam())
+    ours = coset._Enumerator(pres, 20_000)
+    ref = ReferenceEnumerator(pres, 20_000)
+    assert ours.run(CASE20_FACET_WORDS)[0] == ref.run(CASE20_FACET_WORDS)[0] == EXCEEDED
+    assert len(ours.p) == len(ref.p) == 20_000
+    live = [a for a in range(20_000) if ref.p[a] == a]
+    assert [a for a in range(20_000) if ours.p[a] == a] == live
+    assert [[col[a] for col in ours.cols] for a in live] == [ref.table[a] for a in live]
+
+
+def test_table_memory_per_coset():
+    # flat int32 columns, parents and deduction stack: about 21 B per coset,
+    # where a list of lists takes about 154 B
+    pres = amalgam_presentation(case_spec(20).amalgam())
+    tracemalloc.start()
+    try:
+        table = coset_enumeration(pres, CASE20_FACET_WORDS, max_cosets=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.cosets_defined == 10_000
+    assert peak <= 32 * table.cosets_defined
