@@ -318,5 +318,5 @@ def twisted_over(entry: CatalogEntry) -> MarkedGroup:
             f"2^{p.counts[0]}*{m} points exceed enumeration limit {DEFAULT_ORDER_LIMIT}")
     x, w = np.divmod(np.arange(degree), m)
     gens = [(x ^ (1 << vertex_of_flag[w])) * m + w]
-    gens += [x * m + g.rmul[gid][w] for gid in g.gen_ids]
+    gens += [x * m + s[w] for s in g.gens]
     return MarkedGroup(degree, gens)

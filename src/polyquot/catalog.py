@@ -165,7 +165,6 @@ def central_quotient(entry: CatalogEntry) -> CatalogEntry:
 
 def central_inversion(g: MarkedGroup) -> int:
     """Element id of the unique central involution; raises if absent."""
-    g._build_tables()
     central = []
     for x in range(1, g.order):
         if all(g.mul(x, gid) == g.mul(gid, x) for gid in g.gen_ids):
@@ -204,7 +203,7 @@ def ditope_group(facet: CatalogEntry) -> MarkedGroup:
     g = facet.group()
     pts = np.arange(2 * g.order)
     w, c = np.divmod(pts, 2)
-    return MarkedGroup(len(pts), [2 * g.rmul[gid][w] + c for gid in g.gen_ids] + [pts ^ 1])
+    return MarkedGroup(len(pts), [2 * s[w] + c for s in g.gens] + [pts ^ 1])
 
 
 def build_ditope(facet: CatalogEntry) -> Polytope:

@@ -1,4 +1,4 @@
-"""Marked permutation groups with dense multiplication tables.
+"""Marked permutation groups, with dense multiplication tables built on demand.
 
 A MarkedGroup is a finite group together with its ordered list of
 distinguished involutory generators (the s_i of a string group), given by its
@@ -14,22 +14,34 @@ send 0 to is the lexicographic order of their image arrays, and element ids,
 subgroup representatives and report orderings are reproducible across runs.
 Membership of a permutation p is one row comparison, against row p[0].
 
-The table is composed once, along a breadth-first tree of points: row 0 is
-the identity and a point j = s_k(i) first met from i gets row s_k[row i].
-Then row j sends 0 to j, so row j is some element of the group sending 0 to
-j, and the only one when the action is regular.  Regularity is checked on
-that table, exactly: the breadth-first search must reach every point, and the
-maps c_k(j) = row_j[s_k(0)] must commute with every s_m and together have one
-orbit.  If they do, let h be an element fixing 0 and y any point, and take c
-a product of the c_k with c(0) = y.  c commutes with the generators, hence
-with h, so h(y) = h(c(0)) = c(h(0)) = c(0) = y: h is the identity, the
-transitive action has trivial point stabilisers, and so it is regular.
-Conversely, in a regular action row_j[s_k(0)] is the point that s_k * elem_j
-sends 0 to, so c_k is left multiplication by s_k: it commutes with every
-right multiplication, and the left multiplications by the generators are
-transitive.  The c_k are then involutions too, so testing that adds nothing.
-Generators that do not act regularly raise ValueError before any element id
-is handed out.
+The regularity check and the table follow one breadth-first tree of points:
+point 0 is the root, and a point j = s_k(i) first met from i is a child of i.
+Along the tree, row 0 is the identity and row j = s_k[row i].  Then row j
+sends 0 to j, so row j is some element of the group sending 0 to j, and the
+only one when the action is regular.  Regularity is checked exactly: the
+breadth-first search must reach every point, and the maps
+c_k(j) = row_j[s_k(0)] must commute with every s_m and together have one
+orbit.  The check needs only these rank columns, never the rows: c_k(0) =
+s_k(0), and c_k(j) = s(c_k(i)) along a tree edge j = s(i), since row j is
+s[row i].  If the tests pass, let h be an element fixing 0 and y any point,
+and take c a product of the c_k with c(0) = y.  c commutes with the
+generators, hence with h, so h(y) = h(c(0)) = c(h(0)) = c(0) = y: h is the
+identity, the transitive action has trivial point stabilisers, and so it is
+regular.  Conversely, in a regular action row_j[s_k(0)] is the point that
+s_k * elem_j sends 0 to, so c_k is left multiplication by s_k: it commutes
+with every right multiplication, and the left multiplications by the
+generators are transitive.  The c_k are then involutions too, so testing that
+adds nothing (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+2005, section 4: a transitive group with a transitive centraliser is
+regular).  Generators that do not act regularly raise ValueError before any
+element id is handed out.
+
+The facts that need no products come from the permutations in O(n * rank):
+the order, the generators' ids and the parabolic subgroups.  An element h
+sends 0 to its own id, so the orbit of point 0 under <s_j : j in J> is
+{h(0) : h in <s_j : j in J>}, the parabolic's element ids.  The n x n table
+is composed only when a product, an inverse or a membership test is first
+asked for.
 
 Subgroup classes come from two moves, the zuppo form of Neubüser's cyclic
 extension method (Neubüser, Numer. Math. 2, 1960; Holt, Eick & O'Brien,
@@ -113,6 +125,45 @@ def orbit_min_labels(perms, n: int) -> np.ndarray:
         lab = nl
 
 
+def _bfs_tree(perms, n: int):
+    """The breadth-first tree of point 0's orbit under the permutations (image
+    arrays on range(n)): yields (k, parents, children), one triple per level
+    and permutation, children = perms[k][parents] being the points first met
+    there.  A parent is always yielded as a child before its own children."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = []
+        for k, p in enumerate(perms):
+            img = p[frontier]
+            fresh = ~seen[img]
+            child = img[fresh]
+            seen[child] = True
+            new.append(child)
+            yield k, frontier[fresh], child
+        frontier = np.concatenate(new) if new else frontier[:0]
+
+
+def _orbit_of_zero(perms, n: int) -> np.ndarray:
+    """Sorted points of point 0's orbit under the permutations."""
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        new = []
+        for p in perms:
+            img = p[frontier]
+            fresh = img[~seen[img]]
+            if fresh.size:
+                seen[fresh] = True
+                new.append(fresh)
+        # p is a bijection and `seen` is updated after each permutation, so
+        # the pieces of a level are already disjoint
+        frontier = np.concatenate(new) if new else frontier[:0]
+    return np.flatnonzero(seen).astype(np.int32)
+
+
 def _ids_key(ids) -> bytes:
     return np.ascontiguousarray(ids, dtype=np.int32).tobytes()
 
@@ -145,6 +196,7 @@ class MarkedGroup:
             if not is_involution(g):
                 raise ValueError(f"generator {i} does not square to the identity")
         self.order_limit = order_limit
+        self._regular = False      # set by _check_regular
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j = elem_j[i]
         self._inv = None
         self._elem_orders = None
@@ -155,48 +207,74 @@ class MarkedGroup:
     def rank(self) -> int:
         return len(self.gens)
 
-    # -- the one table ------------------------------------------------------
+    # -- facts from the permutations -------------------------------------------
 
-    def _build_tables(self):
-        """Compose row j = s_k[row i] along a BFS tree of points and check
-        that the action is regular (see the module docstring)."""
-        if self._rmul is not None:
+    def _check_regular(self):
+        """Check that the action is regular (see the module docstring) on the
+        columns c_k(j) = row_j[s_k(0)], composed along the breadth-first tree:
+        c_k(0) = s_k(0) and c_k(s(i)) = s(c_k(i)) for a tree edge i -> s(i)."""
+        if self._regular:
             return
         n = self.degree
         if n > self.order_limit:
             raise BoundExceeded(
                 f"a regular action on {n} points exceeds enumeration limit {self.order_limit}")
+        cols = np.empty((self.rank, n), dtype=np.int32)
+        cols[:, 0] = [s[0] for s in self.gens]
+        reached = 1
+        for k, parent, child in _bfs_tree(self.gens, n):
+            cols[:, child] = self.gens[k][cols[:, parent]]
+            reached += child.size
+        if reached < n:
+            raise ValueError(f"the generators do not act transitively on {n} points")
+        commute = all(np.array_equal(c[s], s[c]) for c in cols for s in self.gens)
+        if not commute or orbit_min_labels(cols, n).any():
+            raise ValueError("the generators do not act regularly: a point stabiliser "
+                             "is nontrivial")
+        self._regular = True
+
+    @property
+    def order(self) -> int:
+        self._check_regular()
+        return self.degree
+
+    @property
+    def gen_ids(self) -> list[int]:
+        self._check_regular()
+        return [int(s[0]) for s in self.gens]
+
+    def parabolic(self, gen_indices) -> "Subgroup":
+        """Subgroup generated by a subset of the distinguished generators: the
+        orbit of point 0 under them, since element x lies in it exactly when
+        point x does."""
+        self._check_regular()
+        perms = [self.gens[i] for i in gen_indices]
+        return Subgroup(self, _orbit_of_zero(perms, self.degree), tuple(int(s[0]) for s in perms))
+
+    def parabolic_group(self, gen_indices) -> "MarkedGroup":
+        """The parabolic subgroup acting on itself: its point k, and so its
+        element k, is its k-th least element id here."""
+        ids = self.parabolic(gen_indices).elem_ids
+        pos = np.empty(self.order, dtype=np.int32)
+        pos[ids] = np.arange(len(ids))
+        return MarkedGroup(len(ids), [pos[self.gens[i][ids]] for i in gen_indices])
+
+    # -- the table, built on first use ----------------------------------------
+
+    def _build_tables(self):
+        """Compose row j = s_k[row i] along the breadth-first tree."""
+        if self._rmul is not None:
+            return
+        self._check_regular()
+        n = self.degree
         dtype = np.int16 if n < 2**15 else np.int32
         gens = [s.astype(dtype) for s in self.gens]
         R = np.empty((n, n), dtype=dtype)
         R[0] = np.arange(n)
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=dtype)
-        while frontier.size:
-            new = []
-            for s in gens:
-                img = s[frontier]
-                fresh = ~seen[img]
-                child = img[fresh]
-                seen[child] = True
-                R[child] = s[R[frontier[fresh]]]
-                new.append(child)
-            frontier = np.concatenate(new) if new else frontier[:0]
-        if not seen.all():
-            raise ValueError(f"the generators do not act transitively on {n} points")
-        left = [R[:, s[0]] for s in gens]  # c_k(j) = R[j][s_k(0)]
-        commute = all(np.array_equal(c[s], s[c]) for c in left for s in gens)
-        if not commute or orbit_min_labels(left, n).any():
-            raise ValueError("the generators do not act regularly: a point stabiliser "
-                             "is nontrivial")
+        for k, parent, child in _bfs_tree(self.gens, n):
+            R[child] = gens[k][R[parent]]
         self._rmul = R
         self._inv = np.argmin(R, axis=1).astype(dtype)
-
-    @property
-    def order(self) -> int:
-        self._build_tables()
-        return self.degree
 
     @property
     def elements(self) -> np.ndarray:
@@ -211,11 +289,6 @@ class MarkedGroup:
             raise ValueError(f"permutation acts on {len(p)} points, group degree is {self.degree}")
         j = int(p[0])
         return j if np.array_equal(self.elements[j], p) else -1
-
-    @property
-    def gen_ids(self) -> list[int]:
-        self._build_tables()
-        return [int(s[0]) for s in self.gens]
 
     @property
     def rmul(self) -> np.ndarray:
@@ -242,7 +315,6 @@ class MarkedGroup:
     @property
     def element_orders(self) -> np.ndarray:
         if self._elem_orders is None:
-            self._build_tables()
             n = self.order
             orders = np.zeros(n, dtype=np.int32)
             orders[0] = 1
@@ -261,39 +333,11 @@ class MarkedGroup:
     def closure_ids(self, gen_ids) -> np.ndarray:
         """Sorted element ids of the subgroup generated by the given ids."""
         R = self.rmul
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        gen_ids = [int(g) for g in gen_ids]
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            new = []
-            for g in gen_ids:
-                img = R[g][frontier]
-                fresh = img[~seen[img]]
-                if fresh.size:
-                    seen[fresh] = True
-                    new.append(fresh)
-            # right multiplication is a bijection and `seen` is updated after
-            # each generator, so the pieces of a level are already disjoint
-            frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
-        return np.flatnonzero(seen).astype(np.int32)
+        return _orbit_of_zero([R[int(g)] for g in gen_ids], self.degree)
 
     def subgroup(self, gen_ids) -> "Subgroup":
         gen_ids = tuple(int(g) for g in gen_ids)
         return Subgroup(self, self.closure_ids(gen_ids), gen_ids)
-
-    def parabolic(self, gen_indices) -> "Subgroup":
-        """Subgroup generated by a subset of the distinguished generators."""
-        gids = self.gen_ids
-        return self.subgroup([gids[i] for i in gen_indices])
-
-    def parabolic_group(self, gen_indices) -> "MarkedGroup":
-        """The parabolic subgroup acting on itself: its point k, and so its
-        element k, is its k-th least element id here."""
-        ids = self.parabolic(gen_indices).elem_ids
-        pos = np.empty(self.order, dtype=np.int32)
-        pos[ids] = np.arange(len(ids))
-        return MarkedGroup(len(ids), [pos[self.rmul[self.gen_ids[i]][ids]] for i in gen_indices])
 
 
 @dataclass
@@ -423,7 +467,6 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[Subg
     if g.order > order_bound:
         raise BoundExceeded(
             f"group order {g.order} exceeds subgroup-enumeration bound {order_bound}")
-    g._build_tables()
     R = g.rmul
     n = g.order
     zup = _Zuppos(g, allowed)

@@ -72,15 +72,22 @@ def string_condition(g: MarkedGroup) -> bool:
 def intersection_condition(g: MarkedGroup) -> bool:
     """<s_i : i in I> ∩ <s_j : j in J> = <s_k : k in I∩J> for all I, J.
 
-    Evaluated once per group; the result is kept on the group."""
+    Each parabolic is a boolean mask over the element ids, read from the
+    generator permutations without the multiplication table; the right side
+    always lies in the left, so comparing sizes decides equality.  Evaluated
+    once per group; the result is kept on the group."""
     if g._intersection is None:
         from itertools import combinations, chain
 
         subsets = list(chain.from_iterable(
             combinations(range(g.rank), r) for r in range(g.rank + 1)))
-        para = {s: frozenset(int(e) for e in g.parabolic(s).elem_ids) for s in subsets}
+        para = {}
+        for s in subsets:
+            para[s] = np.zeros(g.order, dtype=bool)
+            para[s][g.parabolic(s).elem_ids] = True
         g._intersection = all(
-            len(para[a] & para[b]) == len(para[tuple(sorted(set(a) & set(b)))])
+            np.count_nonzero(para[a] & para[b])
+            == np.count_nonzero(para[tuple(sorted(set(a) & set(b)))])
             for a in subsets for b in subsets)
     return g._intersection
 
@@ -98,7 +105,7 @@ def flag_graph_from_group(g: MarkedGroup) -> FlagGraph:
     """Coset-geometry flag graph: flags are group elements, i-adjacency is
     right multiplication by s_i."""
     require_polytope_group(g)
-    adj = [g.rmul[gid].astype(np.int32) for gid in g.gen_ids]
+    adj = [s.astype(np.int32) for s in g.gens]
     fg = FlagGraph(adj)
     fg.validate()
     return fg

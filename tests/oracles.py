@@ -7,7 +7,7 @@ routes can disagree.
 
 from array import array
 from collections import deque
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from polyquot.presentations import Presentation, Word, normalize_relators
 
@@ -55,6 +55,17 @@ def brute_force_products(degree, gens):
     rmul = [[index[perm_mul(a, b)] for a in elems] for b in elems]
     inv = [index[perm_inv(e)] for e in elems]
     return elems, index, rmul, inv, [index[g] for g in gens]
+
+
+def intersection_condition(g):
+    """The intersection condition by its first formula: each parabolic a
+    frozenset of Python ints, generated through g's multiplication table
+    (`closure_ids` of the generator ids)."""
+    subsets = [s for r in range(g.rank + 1) for s in combinations(range(g.rank), r)]
+    para = {s: frozenset(int(e) for e in g.closure_ids([g.gen_ids[i] for i in s]))
+            for s in subsets}
+    return all(len(para[a] & para[b]) == len(para[tuple(sorted(set(a) & set(b)))])
+               for a in subsets for b in subsets)
 
 
 def signed_permutation_group(n):

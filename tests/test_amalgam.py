@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,28 @@ def test_classify_table1_desk_scale(ws):
     # finiteness at implemented scale: every desk case closes
     for case in list(range(1, 20)) + [21]:
         assert results[case].outcome != EXCEEDED
+
+
+def test_classify_table1_builds_no_multiplication_table():
+    """Table 1 needs only the orders, the parabolics and the intersection
+    condition, which come from the generator permutations."""
+    results = classify_table1()
+    groups = [r.group for r in results.values() if r.group is not None]
+    assert len(groups) == 20
+    assert all(g._rmul is None for g in groups)
+
+
+def test_build_universal_memory():
+    """Case 13's group has 3840 elements: its table alone would take 29 MB."""
+    spec = case_spec(13).amalgam()
+    tracemalloc.start()
+    try:
+        res = build_universal(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.order == 3840
+    assert peak < 4 * 2**20
 
 
 def test_table1_dual_references():

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from polyquot.amalgam import twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
                                  conjugates, enumerate_subgroups, enumerate_subgroups_within,
                                  intersect, orbit_min_labels, product_set_intersect)
+from polyquot.polytopes import intersection_condition
 from polyquot.quotients import semisparse_allowed_mask
 
+import oracles
 from oracles import (brute_force_products, brute_force_subgroups,
                      conjugacy_partition, mulclose, orbit_minima, perm_mul)
 
@@ -129,9 +132,40 @@ def _non_regular_groups(ws):
 def test_non_regular_generators_raise(ws, name):
     g = _non_regular_groups(ws)[name]
     for read in (lambda: g.order, lambda: g.elements, lambda: g.rmul, lambda: g.inv_ids,
-                 lambda: g.gen_ids, lambda: g.element_id(np.arange(g.degree))):
+                 lambda: g.gen_ids, lambda: g.element_id(np.arange(g.degree)),
+                 lambda: g.parabolic((0,)), lambda: g.parabolic_group((0,)),
+                 lambda: intersection_condition(g)):
         with pytest.raises(ValueError, match="do not act"):
             read()
+
+
+def _assert_parabolics_match_table(g, monkeypatch):
+    """Every parabolic, read from the generator permutations, against the
+    closure of its generator ids through the table, and the intersection
+    condition against its frozenset formula."""
+    gids = g.gen_ids
+    for r in range(g.rank + 1):
+        for js in combinations(range(g.rank), r):
+            para = g.parabolic(js)
+            assert np.array_equal(para.elem_ids, g.closure_ids([gids[i] for i in js])), js
+            assert para.gen_ids == tuple(gids[i] for i in js)
+    monkeypatch.setattr(g, "_intersection", None)
+    holds = intersection_condition(g)
+    assert holds == oracles.intersection_condition(g)
+    return holds
+
+
+@pytest.mark.parametrize("case", [6, 7, 8, 10, 11, 12, 13, 19, 21])
+def test_parabolics_against_table_closure(ws, monkeypatch, case):
+    assert _assert_parabolics_match_table(ws.universal(case).group, monkeypatch)
+
+
+@pytest.mark.parametrize("entries, petrie, holds", [
+    ((4, 4), 2, False), ((3, 6), 2, False), ((3, 4), 4, False),
+    ((6, 3), 4, True), ((4, 4), 4, True)])
+def test_parabolics_against_table_closure_petrie(monkeypatch, entries, petrie, holds):
+    """Petrie quotients on both sides of the intersection condition."""
+    assert _assert_parabolics_match_table(realize(entries, petrie), monkeypatch) == holds
 
 
 def test_parabolic_group_against_brute_force_products(ws):
@@ -261,12 +295,6 @@ def test_conjugates_counts(cube, cube_xyz):
     assert len(conjugates(cube, cube.subgroup([xyz]))) == 1  # central
     assert len(conjugates(cube, cube.subgroup([]))) == 1
     assert len(conjugates(cube, cube.subgroup([cube.mul(x, y)]))) == 3
-
-
-def test_center_is_normal(cube, cube_xyz):
-    x, y, z = cube_xyz
-    xyz = cube.mul(cube.mul(x, y), z)
-    assert len(conjugates(cube, cube.subgroup([xyz]))) == 1
 
 
 def test_intersections(cube, cube_xyz):
