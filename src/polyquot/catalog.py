@@ -1,6 +1,6 @@
 """The rank-3 building blocks: spherical and projective polyhedra plus the
 degenerate dihedron/hosohedron families, with their presentations, realized
-groups and polytopes, and the ditope construction.
+groups and polytopes, the ditope construction, and naming by relators.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import coset_enumeration, perm_rep
-from .permgroups import MarkedGroup
+from .coset import broken_relator, coset_enumeration, perm_rep
+from .permgroups import MarkedGroup, is_involution, orbit_min_labels
 from .polytopes import Polytope, polytope_from_group
 from .presentations import Presentation, Word, power_word
 
@@ -125,9 +125,11 @@ _CENTRAL_QUOTIENT = {
 }
 
 
-def rank3_catalog() -> list[CatalogEntry]:
-    """The five spherical and four projective rank-3 polytopes."""
-    return list(_SPHERICAL) + list(_PROJECTIVE)
+def rank3_catalog(degenerate: bool = False) -> list[CatalogEntry]:
+    """The five spherical and four projective rank-3 polytopes, then with
+    `degenerate` the dihedra {p,2} and the hosohedra {2,p} for p = 2..6."""
+    extra = [f(p) for f in (dihedron, hosohedron) for p in range(2, 7)] if degenerate else []
+    return list(_SPHERICAL) + list(_PROJECTIVE) + extra
 
 
 def dihedron(p: int) -> CatalogEntry:
@@ -213,26 +215,21 @@ def build_ditope(facet: CatalogEntry) -> Polytope:
 
 # -- identification of small polytopes against the catalog -------------------
 
-_IDENT: dict[bytes, str] | None = None
-
-
-def _ident_registry() -> dict[bytes, str]:
-    global _IDENT
-    if _IDENT is None:
-        reg = {}
-        for e in rank3_catalog():
-            reg[e.polytope().certificate] = e.name
-        for p in range(2, 7):
-            for e in (dihedron(p), hosohedron(p)):
-                reg[e.polytope().certificate] = e.name
-        _IDENT = reg
-    return _IDENT
-
 
 def identify(p: Polytope) -> str:
-    """Catalog name of a polytope, or `unrecognized:{type}`."""
-    name = _ident_registry().get(p.certificate)
-    if name is not None:
-        return name
-    t = ",".join(str(e) for e in p.schlafli_type())
-    return "unrecognized:{" + t + "}"
+    """Catalog name of a rank-3 polytope, or `unrecognized:{type}`.
+
+    p is entry e when its adjacencies are involutions generating a transitive
+    group (the flag graph is connected) that satisfy e's relators on
+    e.expected_order = |Γ(e)| flags.  The group they generate is then a
+    quotient of Γ(e) transitive on |Γ(e)| flags, so it is Γ(e) acting
+    regularly, and the flag graph is e's.  Both preconditions are needed: the
+    relators leave s_i^2 implicit, and two disjoint hemicubes satisfy the
+    cube's relators on 48 flags.  Only {2,2} is two entries, named by the
+    last, hosohedron(2)."""
+    adj = p.fg.adj
+    if p.rank == 3 and all(map(is_involution, adj)) and not orbit_min_labels(adj, p.n_flags).any():
+        for e in reversed(rank3_catalog(degenerate=True)):
+            if p.n_flags == e.expected_order and broken_relator(adj, e.presentation().relators) is None:
+                return e.name
+    return "unrecognized:{" + ",".join(map(str, p.schlafli_type())) + "}"

@@ -74,16 +74,8 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _catalog_entries(include_degenerate: bool):
-    entries = catalog.rank3_catalog()
-    if include_degenerate:
-        entries = entries + [catalog.dihedron(p) for p in range(2, 7)] \
-                          + [catalog.hosohedron(p) for p in range(2, 7)]
-    return entries
-
-
 def cmd_catalog(args) -> int:
-    entries = _catalog_entries(args.degenerate)
+    entries = catalog.rank3_catalog(args.degenerate)
     if args.format == "json":
         data = [{"name": e.name, "symbol": list(e.symbol.entries), "order": e.expected_order,
                  "class": e.kind, "dual": e.dual_name} for e in entries]
@@ -100,7 +92,7 @@ def cmd_dump_presentations(args) -> int:
     outdir = args.output_dir
     try:
         os.makedirs(outdir, exist_ok=True)
-        for e in _catalog_entries(True):
+        for e in catalog.rank3_catalog(degenerate=True):
             fname = e.name.replace("(", "_").replace(")", "") + ".pres"
             with open(os.path.join(outdir, fname), "w") as fh:
                 fh.write(format_presentation(e.presentation(), comment=f"{e.name} {e.symbol}"))
@@ -152,18 +144,26 @@ def cmd_build(args) -> int:
     return 2 if res.outcome == EXCEEDED else 0
 
 
-def cmd_quotients(args) -> int:
-    cfg = _config(args)
-    spec = _amalgam_from_args(args)
-    res = build_universal(spec, max_cosets=cfg.max_cosets)
+def _existing_universal(args, cfg: RunConfig):
+    """(the universal the options name, 0), or (None, exit code) with the
+    reason on stderr: 2 when coset enumeration hit its limit, else 1."""
+    res = build_universal(_amalgam_from_args(args), max_cosets=cfg.max_cosets)
     if res.outcome == EXCEEDED:
         sys.stderr.write("coset enumeration exceeded the limit\n")
-        return 2
+        return None, 2
     if res.outcome != EXISTS:
         sys.stderr.write(f"universal does not exist: {res.outcome}; {res.collapse_detail}\n")
-        return 1
+        return None, 1
+    return res, 0
+
+
+def cmd_quotients(args) -> int:
+    cfg = _config(args)
+    res, code = _existing_universal(args, cfg)
+    if code:
+        return code
     try:
-        report = classify_quotients(res.group, spec.name, cfg.subgroup_order_bound)
+        report = classify_quotients(res.group, res.spec.name, cfg.subgroup_order_bound)
     except BoundExceeded as e:
         sys.stderr.write(f"{e}\n")
         return 2
@@ -175,7 +175,7 @@ def cmd_quotients(args) -> int:
         return 0
     case_no = next((c.number for c in TABLE1
                     if (c.facet_name, c.vfig_name) == (args.facet, args.vfig)), None)
-    lines = [f"{spec.name}: {report.total_quotients} quotient classes, "
+    lines = [f"{res.spec.name}: {report.total_quotients} quotient classes, "
              f"{report.regular_count} regular, {report.section_regular_count} section regular"]
     if case_no in EXPECTED_QUOTIENTS:
         lines.append(f"  expected (case {case_no}): {EXPECTED_QUOTIENTS[case_no]} quotients")
@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"no criterion {only}: choose {min(CRITERIA)}-{max(CRITERIA)}, "
                          "or 13 with --stretch")
     ws = Workspace(cfg)
-    rows = run_criteria(ws, only=only, stretch=cfg.stretch)
+    rows = run_criteria(ws, only=only)
     lines = []
     failed = 0
     for row in rows:
@@ -248,11 +248,9 @@ def cmd_export(args) -> int:
     else:
         if not (args.facet and args.vfig):
             raise UsageError("export needs --entry or both --facet and --vfig")
-        spec = _amalgam_from_args(args)
-        res = build_universal(spec, max_cosets=cfg.max_cosets)
-        if res.outcome != EXISTS:
-            sys.stderr.write(f"universal does not exist: {res.outcome}\n")
-            return 1
+        res, code = _existing_universal(args, cfg)
+        if code:
+            return code
         p = res.polytope()
         name = "universal"
     what = args.what

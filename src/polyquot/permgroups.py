@@ -20,17 +20,16 @@ Along the tree, row 0 is the identity and row j = s_k[row i].  Then row j
 sends 0 to j, so row j is some element of the group sending 0 to j, and the
 only one when the action is regular.  Regularity is checked exactly: the
 breadth-first search must reach every point, and the maps
-c_k(j) = row_j[s_k(0)] must commute with every s_m and together have one
-orbit.  The check needs only these rank columns, never the rows: c_k(0) =
-s_k(0), and c_k(j) = s(c_k(i)) along a tree edge j = s(i), since row j is
-s[row i].  If the tests pass, let h be an element fixing 0 and y any point,
-and take c a product of the c_k with c(0) = y.  c commutes with the
-generators, hence with h, so h(y) = h(c(0)) = c(h(0)) = c(0) = y: h is the
-identity, the transitive action has trivial point stabilisers, and so it is
-regular.  Conversely, in a regular action row_j[s_k(0)] is the point that
-s_k * elem_j sends 0 to, so c_k is left multiplication by s_k: it commutes
-with every right multiplication, and the left multiplications by the
-generators are transitive.  The c_k are then involutions too, so testing that
+c_k(j) = row_j[s_k(0)] must commute with every s_m.  The check needs only
+these rank columns, never the rows: c_k(0) = s_k(0), and c_k(j) = s(c_k(i))
+along a tree edge j = s(i), since row j is s[row i].  If the tests pass, let
+h be an element fixing 0 and y any point, and take c = c_k1...c_km with
+c(0) = s_km...s_k1(0) = y, by commuting.  c commutes with the generators,
+hence with h, so h(y) = h(c(0)) = c(h(0)) = c(0) = y: h is the identity, the
+transitive action has trivial point stabilisers, and so it is regular.
+Conversely, in a regular action row_j[s_k(0)] is the point that s_k * elem_j
+sends 0 to, so c_k is left multiplication by s_k: it commutes with every
+right multiplication.  The c_k are then involutions too, so testing that
 adds nothing (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 2005, section 4: a transitive group with a transitive centraliser is
 regular).  Generators that do not act regularly raise ValueError before any
@@ -227,8 +226,7 @@ class MarkedGroup:
             reached += child.size
         if reached < n:
             raise ValueError(f"the generators do not act transitively on {n} points")
-        commute = all(np.array_equal(c[s], s[c]) for c in cols for s in self.gens)
-        if not commute or orbit_min_labels(cols, n).any():
+        if not all(np.array_equal(c[s], s[c]) for c in cols for s in self.gens):
             raise ValueError("the generators do not act regularly: a point stabiliser "
                              "is nontrivial")
         self._regular = True
@@ -461,12 +459,17 @@ class _Zuppos:
             self.of_elem[ids[gens_mask]] = z
 
 
-def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[SubgroupClass]:
-    """Index-2 extensions from every class, odd-zuppo joins from the
-    odd-generated ones (see the module docstring)."""
+def require_subgroup_bound(g: MarkedGroup, order_bound: int):
+    """Raise BoundExceeded before a subgroup search of too large a group."""
     if g.order > order_bound:
         raise BoundExceeded(
             f"group order {g.order} exceeds subgroup-enumeration bound {order_bound}")
+
+
+def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[SubgroupClass]:
+    """Index-2 extensions from every class, odd-zuppo joins from the
+    odd-generated ones (see the module docstring)."""
+    require_subgroup_bound(g, order_bound)
     R = g.rmul
     n = g.order
     zup = _Zuppos(g, allowed)

@@ -83,7 +83,7 @@ import numpy as np
 from . import catalog
 from .permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup,
                          SubgroupClass, conjugates, enumerate_subgroups_within,
-                         product_set_intersect)
+                         product_set_intersect, require_subgroup_bound)
 from .polytopes import FlagGraph, Polytope, is_polytopal, require_polytope_group
 
 
@@ -192,6 +192,7 @@ def _semisparse_candidates(g: MarkedGroup, order_bound: int):
     """Each semisparse class with its quotient polytope and the least element
     of each flag orbit; the ground truth runs once per class of the masked
     lattice."""
+    require_subgroup_bound(g, order_bound)
     allowed = semisparse_allowed_mask(g)
     for cls in enumerate_subgroups_within(g, allowed, order_bound):
         q, least = quotient_candidate(g, cls.rep.elem_ids)

@@ -319,14 +319,13 @@ CRITERIA = {
 }
 
 
-def run_criteria(ws: Workspace | None = None, only: int | None = None,
-                 stretch: bool = False) -> list[CheckRow]:
+def run_criteria(ws: Workspace | None = None, only: int | None = None) -> list[CheckRow]:
     ws = ws or Workspace()
     rows: list[CheckRow] = []
     for num, (desc, fn) in sorted(CRITERIA.items()):
         if only is not None and num != only:
             continue
         rows.extend(fn(ws))
-    if stretch and (only is None or only == 13):
+    if ws.config.stretch and (only is None or only == 13):
         rows.extend(criterion_13(ws))
     return rows

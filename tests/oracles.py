@@ -7,6 +7,7 @@ routes can disagree.
 
 from array import array
 from collections import deque
+from functools import cache
 from itertools import combinations, permutations, product
 
 from polyquot.presentations import Presentation, Word, normalize_relators
@@ -197,6 +198,25 @@ def all_starts_certificate(adj):
         return header, 1
     certs = [_bfs_relabelling(adj, s) for s in range(n)]
     return header + min(certs), certs.count(certs[0])
+
+
+@cache
+def _catalog_certificates():
+    """The certificate of each polytope `catalog.identify` can name, mapped
+    to its name; a later entry with the same certificate overwrites an
+    earlier one, so {2,2} is hosohedron(2)."""
+    from polyquot.catalog import dihedron, hosohedron, rank3_catalog
+
+    entries = rank3_catalog() + [f(k) for k in range(2, 7) for f in (dihedron, hosohedron)]
+    return {all_starts_certificate(e.polytope().fg.adj)[0]: e.name for e in entries}
+
+
+def catalog_name_by_certificate(p):
+    """The catalog name of a polytope by certificate lookup, the reference for
+    `catalog.identify`: the entry whose polytope has p's canonical
+    certificate, or `unrecognized:{type}`."""
+    name = _catalog_certificates().get(all_starts_certificate(p.fg.adj)[0])
+    return name or "unrecognized:{" + ",".join(map(str, p.schlafli_type())) + "}"
 
 
 def _bfs_relabelling(adj, start):

@@ -1,13 +1,18 @@
+import numpy as np
 import pytest
 
 from polyquot.catalog import (SchlafliSymbol, build_ditope, central_quotient,
                               central_quotient_group, coxeter_presentation,
                               dihedron, ditope_group, entry_by_name, hosohedron,
                               identify, rank3_catalog, with_petrie)
-from polyquot.coset import coset_enumeration, perm_rep
-from polyquot.polytopes import are_isomorphic, dual, is_section_regular, polytope_from_group
+from polyquot.coset import broken_relator, coset_enumeration, perm_rep
+from polyquot.permgroups import is_involution, orbit_min_labels
+from polyquot.polytopes import (FlagGraph, Polytope, are_isomorphic, dual,
+                                is_section_regular, polytope_from_group)
 from polyquot.presentations import power_word
 from polyquot.quotients import semisparse_classes
+
+from oracles import catalog_name_by_certificate
 
 
 def test_symbol_validation():
@@ -157,5 +162,32 @@ def test_section_regularity_of_catalog():
 
 
 def test_identify():
-    assert identify(entry_by_name("cube").polytope()) == "cube"
-    assert identify(entry_by_name("hosohedron(3)").polytope()) == "hosohedron(3)"
+    """Every nameable entry is named as the certificate registry names it:
+    itself, except that {2,2} is hosohedron(2)."""
+    for e in rank3_catalog(degenerate=True):
+        p = e.polytope()
+        assert identify(p) == catalog_name_by_certificate(p)
+        assert identify(p) == ("hosohedron(2)" if e.name == "dihedron(2)" else e.name)
+
+
+def test_identify_needs_a_connected_flag_graph():
+    """Two disjoint hemicubes satisfy the cube's relators on 48 flags."""
+    adj = entry_by_name("hemicube").polytope().fg.adj
+    two = Polytope(FlagGraph([np.concatenate([a, a + len(a)]) for a in adj]))
+    assert broken_relator(two.fg.adj, entry_by_name("cube").presentation().relators) is None
+    assert identify(two) == catalog_name_by_certificate(two) == "unrecognized:{4,3}"
+
+
+def test_identify_needs_involutions():
+    """Replacing s2 by s0 s1 s0 s2 s1, of order 4, keeps the tetrahedron's
+    relators and a transitive action on 24 flags."""
+    e = entry_by_name("tetrahedron")
+    adj = e.polytope().fg.adj
+    z = np.arange(len(adj[0]))
+    for x in (0, 1, 0, 2, 1):
+        z = adj[x][z]
+    p = Polytope(FlagGraph([adj[0], adj[1], z]))
+    assert broken_relator(p.fg.adj, e.presentation().relators) is None
+    assert not is_involution(z) and not orbit_min_labels(p.fg.adj, p.n_flags).any()
+    assert identify(p) == catalog_name_by_certificate(p)
+    assert identify(p).startswith("unrecognized:")

@@ -225,6 +225,11 @@ def test_quotients_exceeded_coset_budget(capsys):
     assert code == 2 and err == "coset enumeration exceeded the limit\n"
 
 
+def test_export_exceeded_coset_budget(capsys):
+    code, out, err = run(capsys, "export", *CASE10, "--max-cosets", "10")
+    assert code == 2 and out == "" and err == "coset enumeration exceeded the limit\n"
+
+
 def test_quotients_of_a_collapsed_case(capsys):
     code, _, err = run(capsys, "quotients", "--facet", "hemicube", "--vfig", "icosahedron")
     assert code == 1 and err.startswith("universal does not exist: collapsed")

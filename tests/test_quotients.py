@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from polyquot.amalgam import build_universal, case_spec, classify_table1
 from polyquot.catalog import entry_by_name, identify
-from polyquot.permgroups import (MarkedGroup, conjugates, enumerate_subgroups,
+from polyquot.permgroups import (BoundExceeded, MarkedGroup, conjugates, enumerate_subgroups,
                                  enumerate_subgroups_within,
                                  product_set_intersect)
 from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal, is_regular,
@@ -16,7 +17,7 @@ from polyquot.quotients import (classify_quotients,
                                 quotient_polytope, semisparse_allowed_mask,
                                 semisparse_classes, semisparse_diagnostic)
 
-from oracles import maximal_chain_count, orbit_join_quotient
+from oracles import catalog_name_by_certificate, maximal_chain_count, orbit_join_quotient
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +279,8 @@ def test_case10_builds_no_section(ws, monkeypatch):
 
 
 def test_case10_certifies_no_quotient(ws, monkeypatch):
-    """Regularity comes from the class size: no certificate runs on a
-    rank-4 flag graph, only on the rank-3 parabolics' quotients."""
+    """Regularity comes from the class size and names from the relators:
+    no certificate runs, on a quotient or on a parabolic's quotient."""
     from polyquot import polytopes, quotients as pq
 
     ranks = []
@@ -294,7 +295,38 @@ def test_case10_certifies_no_quotient(ws, monkeypatch):
     monkeypatch.setattr(g, "_parabolics", {})  # the class tables are built in the call
     rep = pq.classify_quotients(g, "case10")
     assert (rep.total_quotients, rep.regular_count) == (4, 3)
-    assert ranks and set(ranks) == {3}
+    assert ranks == []
+
+
+def test_classification_realizes_no_catalog_polytope(monkeypatch):
+    from polyquot import catalog
+
+    monkeypatch.setattr(catalog, "_GROUPS", {})
+    monkeypatch.setattr(catalog, "_POLYTOPES", {})
+    classify_table1()
+    g = build_universal(case_spec(10).amalgam()).group
+    assert classify_quotients(g, "case10").total_quotients == 4
+    assert catalog._GROUPS == {} and catalog._POLYTOPES == {}
+
+
+def test_subgroup_bound_fires_before_the_table():
+    g = build_universal(case_spec(10).amalgam()).group
+    with pytest.raises(BoundExceeded) as err:
+        classify_quotients(g, "case10", 100)
+    assert str(err.value) == "group order 192 exceeds subgroup-enumeration bound 100"
+    assert g._rmul is None
+
+
+@pytest.mark.parametrize("case", [7, 10, 11, 12, 13, 19, 21])
+def test_identify_on_parabolic_quotients(ws, case):
+    """identify names every accepted quotient of the rank-3 parabolics as the
+    certificate registry does."""
+    g = ws.universal(case).group
+    for js in ((0, 1, 2), (1, 2, 3)):
+        sub = g.parabolic_group(js)
+        for cls in semisparse_classes(sub):
+            q = quotient_polytope(sub, cls.rep)
+            assert identify(q) == catalog_name_by_certificate(q)
 
 
 @pytest.mark.parametrize("case", [7, 10, 11, 12, 13, 19, 21])
@@ -309,6 +341,20 @@ def test_section_classes_match_built_sections(ws, case):
         assert r.facet_classes == dict(Counter(map(identify, facets)))
         assert r.vfig_classes == dict(Counter(map(identify, vfigs)))
         assert r.is_section_regular == section_profile(q).is_section_regular()
+
+
+@pytest.mark.parametrize("case", [10, 12])
+def test_identify_on_built_sections(ws, case):
+    """identify names every built facet and vertex figure of the quotients,
+    the nonregular ones included, as the certificate registry does."""
+    names = set()
+    for r in ws.report(case).records:
+        q = r.polytope
+        for s in ([section(q, (3, f), None) for f in range(q.counts[3])]
+                  + [section(q, None, (0, v)) for v in range(q.counts[0])]):
+            assert identify(s) == catalog_name_by_certificate(s)
+            names.add(identify(s))
+    assert any(n.startswith("unrecognized:") for n in names)
 
 
 def test_product_criterion_rejects_a_meet_outside_the_facet_group(ws):
