@@ -438,11 +438,10 @@ class _Zuppos:
         self.sets: list[np.ndarray] = []
         self.gen_elem: list[int] = []
         self.of_elem = np.full(g.order, -1, dtype=np.int64)
-        for e in range(1, g.order):
+        odd_pp = [o for o in np.unique(orders).tolist() if _is_odd_prime_power(o)]
+        for e in map(int, np.flatnonzero(allowed & np.isin(orders, odd_pp))):  # ascending ids
             o = int(orders[e])
-            if not _is_odd_prime_power(o):
-                continue
-            if self.of_elem[e] >= 0 or not allowed[e]:
+            if self.of_elem[e] >= 0:
                 continue
             ids = np.empty(o, dtype=np.int32)
             x = 0

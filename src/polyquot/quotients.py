@@ -16,10 +16,14 @@ element of its double coset.
 Ground truth for semisparseness is the direct definition on that poset: test
 the polytopality axioms and require its maximal chains to biject with the
 orbits.  The candidate search is a subgroup-lattice search restricted to the
-elements that avoid every conjugate of s_i and of s_i s_j (|i-j| >= 2) - both
-conditions are necessary for a semisparse subgroup and elementwise, so the
-restriction loses nothing.  The product-set criterion (valid when the vertex
-figure has no proper quotients) is implemented as a fast path and
+elements with no conjugate in any coset s_i*G_i.  A semisparse N has no such
+element: if w^-1*n*w = s_i*h with n in N and h in G_i, the flags N*w and
+N*w*s_i have the same i-face N*w*G_i, and, s_i lying in every other G_j, the
+same face at every rank, so the i-adjacency has a fixed point or two orbits
+induce one chain.  The condition is elementwise and closed under
+conjugation, so the restriction loses nothing (see
+`semisparse_allowed_mask`).  The product-set criterion (valid when the
+vertex figure has no proper quotients) is implemented as a fast path and
 cross-checked against the ground truth.
 
 Regularity and normality are read from the conjugacy class size (Hartley,
@@ -83,7 +87,7 @@ import numpy as np
 from . import catalog
 from .permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup,
                          SubgroupClass, conjugates, enumerate_subgroups_within,
-                         product_set_intersect, require_subgroup_bound)
+                         orbit_min_labels, product_set_intersect, require_subgroup_bound)
 from .polytopes import FlagGraph, Polytope, is_polytopal, require_polytope_group
 
 
@@ -164,34 +168,40 @@ def quotient_polytope(g: MarkedGroup, n: Subgroup) -> Polytope:
 
 
 def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
-    """Elements avoiding all conjugates of s_i and of s_i s_j (|i-j| >= 2).
+    """Elements with no conjugate in any coset s_i*G_i, G_i = <s_j : j != i>.
 
-    A subgroup containing a conjugate of some s_i gives an adjacency with a
-    fixed orbit; one containing a conjugate of s_i s_j collapses a flag-level
-    diamond.  Both are element conditions, so the mask is downward closed.
+    Take the flag N*w of P/N.  Its i-face is N*w*G_i, and its i-neighbour
+    N*w*s_i has the i-face N*w*s_i*G_i.  s_i lies in every G_j with j != i,
+    so if the two i-faces are equal, the two flags share their face at every
+    rank.  Then either the i-adjacency has a fixed point, or two orbits
+    induce one chain; either way N is not semisparse.  The two i-faces are
+    equal exactly when w*s_i = n*w*h for some n in N and h in G_i, that is
+    when w^-1*n*w = s_i*h^-1 lies in s_i*G_i.  So a semisparse N contains no
+    conjugate of any element of s_i*G_i.  That is an element condition
+    closed under conjugation, as `enumerate_subgroups_within` needs.  It
+    forbids the conjugates of s_i = s_i*1 and of s_i*s_j (|i-j| >= 2, s_j in
+    G_i), the fixed-point and collapsed-diamond cases.  A string C-group has
+    s_i outside G_i, so the identity is allowed.
+
+    The forbidden elements are the conjugacy classes (the orbits of the maps
+    x -> s*x*s) that meet one of the sets s_i*G_i, which together hold at
+    most rank*max|G_i| elements.
     """
-    n = g.order
     R = g.rmul
-    inv = g.inv_ids
-    gids = g.gen_ids
-    targets = [int(t) for t in gids]
-    for i in range(g.rank):
-        for j in range(i + 2, g.rank):
-            targets.append(int(g.mul(gids[i], gids[j])))
-    bad = np.zeros(n, dtype=bool)
-    xs = np.arange(n)
-    for t in targets:
-        conj = R[xs, R[t][inv[xs].astype(np.int64)]]
-        bad[np.unique(conj)] = True
-    ok = ~bad
-    ok[0] = True
-    return ok
+    lab = orbit_min_labels([R[s][R[:, s]] for s in g.gen_ids], g.order)  # R[x, s] = s*x
+    bad = np.zeros(g.order, dtype=bool)
+    for i, s in enumerate(g.gen_ids):
+        g_i = g.parabolic([j for j in range(g.rank) if j != i]).elem_ids
+        bad[lab[R[g_i, s]]] = True
+    return ~bad[lab]
 
 
 def _semisparse_candidates(g: MarkedGroup, order_bound: int):
     """Each semisparse class with its quotient polytope and the least element
     of each flag orbit; the ground truth runs once per class of the masked
-    lattice."""
+    lattice.  The string C-group conditions, which the mask's proof needs,
+    are checked before the table is built."""
+    require_polytope_group(g)
     require_subgroup_bound(g, order_bound)
     allowed = semisparse_allowed_mask(g)
     for cls in enumerate_subgroups_within(g, allowed, order_bound):

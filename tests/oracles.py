@@ -2,13 +2,17 @@
 
 Everything here works on plain tuples with hand-rolled closure loops, kept
 deliberately separate from the library's table-based algorithms so the two
-routes can disagree.
+routes can disagree.  The exceptions are earlier library code kept as
+references: the list-of-lists coset enumerator and the quotient search's
+weaker element mask, which reads a group's multiplication table.
 """
 
 from array import array
 from collections import deque
 from functools import cache
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from polyquot.presentations import Presentation, Word, normalize_relators
 
@@ -508,3 +512,25 @@ class ReferenceEnumerator:
 
 class _ReferenceOverflow(Exception):
     pass
+
+
+def generator_pair_mask(g):
+    """The quotient search's earlier, weaker element mask, kept as a
+    reference: the elements of a MarkedGroup with no conjugate equal to some
+    s_i or to some s_i*s_j with |i-j| >= 2 (the identity always allowed).
+    Each such target lies in the coset s_i*G_i, so this mask contains
+    `quotients.semisparse_allowed_mask`."""
+    R = g.rmul
+    inv = g.inv_ids
+    gids = g.gen_ids
+    targets = [int(t) for t in gids]
+    for i in range(g.rank):
+        for j in range(i + 2, g.rank):
+            targets.append(int(g.mul(gids[i], gids[j])))
+    bad = np.zeros(g.order, dtype=bool)
+    xs = np.arange(g.order)
+    for t in targets:
+        bad[np.unique(R[xs, R[t][inv[xs].astype(np.int64)]])] = True
+    ok = ~bad
+    ok[0] = True
+    return ok

@@ -4,7 +4,9 @@ sha256 of `polyquot quotients --facet F --vfig V --format json` for each
 desk-scale case and of `polyquot table1 --format json`, as recorded in
 CHANGES.md.  The quotient reports come from the session workspace, so nothing
 is classified twice.  The masked subgroup lattice that the quotient search
-walks is fingerprinted too, by class sizes and representative element ids.
+walks is fingerprinted too, by class sizes and representative element ids,
+and so is the lattice inside the earlier, weaker reference mask
+`oracles.generator_pair_mask`, whose pins predate the current mask.
 The generators recorded with a representative follow the search's path, so
 they are not pinned; each class is checked to be generated by them, which is
 what the conjugacy transversals need.
@@ -21,6 +23,8 @@ from polyquot.cli import _dumps, main
 from polyquot.permgroups import enumerate_subgroups_within
 from polyquot.quotients import semisparse_allowed_mask
 
+from oracles import generator_pair_mask
+
 QUOTIENTS_SHA256 = {
     7: "3f7a36da9bbd9f8791b9ddd93a2e98e444d4f19a98d73a55111d2127316bb875",
     10: "8810ffb9bfed5be00a445f01ec2b7fd95224a94b27da63bc35fb754ca0df4ad2",
@@ -32,6 +36,15 @@ QUOTIENTS_SHA256 = {
 }
 TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b03657366042"
 MASKED_LATTICE_SHA256 = {
+    7: "8e5cca544e764412dc8b41d5034f3ac6c066a064cd9e204a48d1c018943529db",
+    10: "e12cbec2975b151c05def7cd885635d0c222984106819a3205d969690d63d2eb",
+    11: "8e5cca544e764412dc8b41d5034f3ac6c066a064cd9e204a48d1c018943529db",
+    12: "6e9eeceb880b0e3a1d7dd59d23c12d21af92dfd82741a52b329b0e85f63776b1",
+    13: "ee84d1c87eb584d1486afeaab66049e9f8c8c808d595dec853d8a71d3ddb2c6a",
+    19: "691ec56e95090d25d63e9c8a1f8913b4dc32ec4615c1ebdca31a9ef534d4be55",
+    21: "85c339081ba1dab37d4bc322f32a04234ecd9f4af059310f50ec43726bc8ada0",
+}
+REFERENCE_MASK_LATTICE_SHA256 = {  # inside oracles.generator_pair_mask
     7: "e153e001d02e805c771be40d77376489ba164e9874ad3fd81a9e450ca55096e8",
     10: "a8da9f3850f6f887e56706a4f121d5fc7753715da66ff68b5ca9907050deb0f3",
     11: "02eb964b6289dc0b06892db82e7e46ba06c961baf68f46b054005bd95ad9b8d1",
@@ -58,11 +71,21 @@ def test_table1_json_fingerprint(capsys):
     assert _sha256(capsys.readouterr().out) == TABLE1_SHA256
 
 
-@pytest.mark.parametrize("case", sorted(MASKED_LATTICE_SHA256))
-def test_masked_lattice_fingerprint(ws, case):
-    g = ws.universal(case).group
-    classes = enumerate_subgroups_within(g, semisparse_allowed_mask(g))
+def _assert_lattice_fingerprint(g, allowed, sha256):
+    classes = enumerate_subgroups_within(g, allowed)
     rows = [[c.size, c.rep.elem_ids.tolist()] for c in classes]
-    assert _sha256(json.dumps(rows)) == MASKED_LATTICE_SHA256[case]
+    assert _sha256(json.dumps(rows)) == sha256
     for c in classes:  # conjugacy transversals read the recorded generators
         assert np.array_equal(g.closure_ids(c.rep.gen_ids), c.rep.elem_ids)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_MASK_LATTICE_SHA256))
+def test_masked_lattice_fingerprint(ws, case):
+    g = ws.universal(case).group
+    _assert_lattice_fingerprint(g, generator_pair_mask(g), REFERENCE_MASK_LATTICE_SHA256[case])
+
+
+@pytest.mark.parametrize("case", sorted(MASKED_LATTICE_SHA256))
+def test_semisparse_mask_lattice_fingerprint(ws, case):
+    g = ws.universal(case).group
+    _assert_lattice_fingerprint(g, semisparse_allowed_mask(g), MASKED_LATTICE_SHA256[case])

@@ -363,13 +363,23 @@ def test_subgroup_classes_against_brute_force_catalog(name):
     _assert_classes_match_brute_force(g, enumerate_subgroups(g))
 
 
-@pytest.mark.parametrize("case, subgroups, classes", [(10, 140, 30), (11, 31, 6)])
-def test_masked_lattice_against_brute_force(ws, case, subgroups, classes):
-    g = ws.universal(case).group
-    allowed = semisparse_allowed_mask(g)
+def _assert_masked_lattice(g, allowed, subgroups, classes):
     found = enumerate_subgroups_within(g, allowed)
     assert (sum(c.size for c in found), len(found)) == (subgroups, classes)
     _assert_classes_match_brute_force(g, found, allowed)
+
+
+@pytest.mark.parametrize("case, subgroups, classes", [(10, 140, 30), (11, 31, 6)])
+def test_masked_lattice_against_brute_force(ws, case, subgroups, classes):
+    """Inside the reference mask, which allows far more than the search's."""
+    g = ws.universal(case).group
+    _assert_masked_lattice(g, oracles.generator_pair_mask(g), subgroups, classes)
+
+
+@pytest.mark.parametrize("case, subgroups, classes", [(10, 6, 4), (11, 1, 1), (12, 6, 4)])
+def test_semisparse_mask_lattice_against_brute_force(ws, case, subgroups, classes):
+    g = ws.universal(case).group
+    _assert_masked_lattice(g, semisparse_allowed_mask(g), subgroups, classes)
 
 
 def test_conjugacy_transitive(cube, cube_xyz):

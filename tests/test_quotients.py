@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from polyquot.amalgam import build_universal, case_spec, classify_table1
-from polyquot.catalog import entry_by_name, identify
+from polyquot.catalog import entry_by_name, identify, rank3_catalog
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, conjugates, enumerate_subgroups,
                                  enumerate_subgroups_within,
                                  product_set_intersect)
 from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal, is_regular,
                                 polytope_from_group, section, section_profile)
-from polyquot.quotients import (classify_quotients,
+from polyquot.quotients import (_defect, classify_quotients,
                                 is_semisparse, is_semisparse_product_criterion,
                                 quotient_candidate, quotient_lattice_dot,
                                 quotient_polytope, semisparse_allowed_mask,
                                 semisparse_classes, semisparse_diagnostic)
 
-from oracles import catalog_name_by_certificate, maximal_chain_count, orbit_join_quotient
+from oracles import (catalog_name_by_certificate, generator_pair_mask, maximal_chain_count,
+                     orbit_join_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +122,38 @@ def test_quotient_candidate_matches_orbit_join_oracle(ws, source):
     assert accepted == {"cube": 4, "case7": 1, "case10": 4, "case21-masked": 1}[source]
 
 
+def _ground_truth_classes(g, classes):
+    """(size, representative ids) of each class whose quotient passes `_defect`."""
+    return [(c.size, c.rep.elem_ids.tolist()) for c in classes
+            if _defect(quotient_candidate(g, c.rep.elem_ids)[0]) is None]
+
+
+@pytest.mark.parametrize("source", [f"case{c}" for c in (7, 10, 11, 12, 13, 19, 21)]
+                         + [e.name for e in rank3_catalog(degenerate=True)])
+def test_semisparse_mask_loses_no_class(ws, source):
+    """The mask lies inside the reference mask, is a union of conjugacy
+    classes, and keeps every semisparse class: those the ground truth accepts
+    on the unmasked lattice, or, for cases 13 and 19, whose unmasked lattices
+    are too large for tier-1, on the reference mask's lattice."""
+    g = ws.universal(int(source[4:])).group if source.startswith("case") \
+        else entry_by_name(source).group()
+    allowed, reference = semisparse_allowed_mask(g), generator_pair_mask(g)
+    assert not (allowed & ~reference).any()
+    R = g.rmul
+    for s in g.gen_ids:
+        assert np.array_equal(allowed[R[s][R[:, s]]], allowed)  # x -> s*x*s
+    universe = (enumerate_subgroups_within(g, reference) if source in ("case13", "case19")
+                else enumerate_subgroups(g))
+    found = [(c.size, c.rep.elem_ids.tolist()) for c in semisparse_classes(g)]
+    assert found == _ground_truth_classes(g, universe)
+
+
 def test_non_string_group_is_rejected():
     g = entry_by_name("cube").group()
     bad = MarkedGroup(g.degree, [g.gens[1], g.gens[0], g.gens[2]])
     with pytest.raises(ValueError, match="not a string group"):
         semisparse_classes(bad)
+    assert bad._rmul is None  # refused before the mask builds the table
     with pytest.raises(ValueError, match="not a string group"):
         classify_quotients(bad, "swapped cube")
 
@@ -253,10 +281,12 @@ def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
         calls["candidates"] += 1
         return quotient_candidate(*args, **kwargs)
 
+    g = ws.universal(13).group
+    ws.report(13)  # the parabolics' class tables, so that only g's lattice is counted
     monkeypatch.setattr(pq, "enumerate_subgroups_within", counting_lattice)
     monkeypatch.setattr(pq, "quotient_candidate", counting_candidate)
-    assert pq.classify_quotients(ws.universal(10).group, "case10").total_quotients == 4
-    assert calls["candidates"] == calls["classes"] > 4
+    assert pq.classify_quotients(g, "case13").total_quotients == 70
+    assert calls == {"classes": 77, "candidates": 77}  # the ground truth rejects 7
 
 
 def test_case10_builds_no_section(ws, monkeypatch):
