@@ -9,10 +9,9 @@ from .permgroups import (MarkedGroup, Subgroup, SubgroupClass, BoundExceeded,
 from .catalog import (SchlafliSymbol, CatalogEntry, coxeter_presentation,
                       with_petrie, central_quotient, rank3_catalog,
                       dihedron, hosohedron, build_ditope, entry_by_name)
-from .polytopes import (FlagGraph, FacePoset, Polytope, flag_graph_from_group,
-                        polytope_from_group, is_polytopal,
-                        intersection_condition, section, section_profile,
-                        is_section_regular, is_regular, dual, are_isomorphic)
+from .polytopes import (Polytope, flag_graph_from_group, polytope_from_group,
+                        is_polytopal, intersection_condition, section,
+                        section_profile, is_regular, dual, are_isomorphic)
 from .amalgam import (AmalgamSpec, UniversalResult, amalgam_presentation,
                       build_universal, classify_table1, twisted_over, TABLE1,
                       case_spec)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset import broken_relator, coset_enumeration, perm_rep
-from .permgroups import MarkedGroup, is_involution, orbit_min_labels
+from .permgroups import (DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, is_involution,
+                         orbit_min_labels)
 from .polytopes import Polytope, polytope_from_group
 from .presentations import Presentation, Word, power_word
 
@@ -82,7 +83,12 @@ _POLYTOPES: dict[str, Polytope] = {}
 
 
 def _realize_group(entry: CatalogEntry) -> MarkedGroup:
+    """The entry's group, by coset enumeration; an order the marked group
+    would refuse is refused before enumerating."""
     if entry.name not in _GROUPS:
+        if entry.expected_order > DEFAULT_ORDER_LIMIT:
+            raise BoundExceeded(f"{entry.name}: group order {entry.expected_order} "
+                                f"exceeds enumeration limit {DEFAULT_ORDER_LIMIT}")
         t = coset_enumeration(entry.presentation())
         g = perm_rep(t)
         if g.order != entry.expected_order:
@@ -150,8 +156,8 @@ def entry_by_name(name: str) -> CatalogEntry:
         if e.name == name:
             return e
     m = _NAME_RE.match(name)
-    if m:
-        p = int(m.group(2))
+    p = int(m.group(2)) if m else 0
+    if p >= 2:
         return dihedron(p) if m.group(1) == "dihedron" else hosohedron(p)
     raise KeyError(f"unknown catalog entry {name!r}")
 
@@ -227,7 +233,7 @@ def identify(p: Polytope) -> str:
     relators leave s_i^2 implicit, and two disjoint hemicubes satisfy the
     cube's relators on 48 flags.  Only {2,2} is two entries, named by the
     last, hosohedron(2)."""
-    adj = p.fg.adj
+    adj = p.adj
     if p.rank == 3 and all(map(is_involution, adj)) and not orbit_min_labels(adj, p.n_flags).any():
         for e in reversed(rank3_catalog(degenerate=True)):
             if p.n_flags == e.expected_order and broken_relator(adj, e.presentation().relators) is None:

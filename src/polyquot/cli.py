@@ -257,7 +257,7 @@ def cmd_export(args) -> int:
     if what == "hasse":
         _emit(hasse_dot(p, name.replace("-", "_").replace("(", "_").replace(")", "")), args)
     elif what == "flags":
-        _emit(flag_graph_dot(p.fg), args)
+        _emit(flag_graph_dot(p), args)
     else:
         _emit(_dumps(polytope_json(p)), args)
     return 0

@@ -88,12 +88,15 @@ class _Enumerator:
         self.ded_coset = array("i")
         self.ded_gen = array("i")
         # relator rotations (of the word and its reverse) indexed by first
-        # letter, each with the table columns it reads
+        # letter, each with the table columns it reads; a word u^k has only
+        # the |u| rotations of its least period u
         self.edp: list[list[tuple[Word, tuple[array, ...]]]] = [[] for _ in range(self.rank)]
         rots = set()
         for rel in normalize_relators(pres.relators):
+            n = len(rel)
+            d = next(d for d in range(1, n + 1) if n % d == 0 and rel[d:] == rel[:n - d])
             for w in (rel, rel[::-1]):
-                for i in range(len(w)):
+                for i in range(d):
                     rots.add(w[i:] + w[:i])
         for w in sorted(rots):
             self.edp[w[0]].append((w, self._columns(w)))

@@ -1,9 +1,9 @@
-"""Flags, face posets, polytopality, sections, duality and isomorphism.
+"""Flags, faces, polytopality, sections, duality and isomorphism.
 
-A FlagGraph carries the combinatorics of a polytope as rank-indexed adjacency
-involutions on flags.  Faces are recovered as orbits of flags under the
-adjacencies omitting one rank; the face poset (with virtual least and greatest
-faces) is what the polytopality axioms are checked against.
+A Polytope is its flag graph: rank-indexed adjacency involutions on flags.
+Faces are recovered as orbits of flags under the adjacencies omitting one
+rank; the face counts and consecutive-rank incidences (with virtual least and
+greatest faces) are what the polytopality axioms are checked against.
 
 Isomorphism is decided by a canonical certificate built from one deterministic
 BFS relabelling of the flag adjacencies.  Equal certificates from two start
@@ -29,34 +29,6 @@ from .permgroups import MarkedGroup, orbit_min_labels
 
 # ---------------------------------------------------------------------------
 # flag graphs
-
-
-@dataclass
-class FlagGraph:
-    adj: list[np.ndarray]  # adj[i] = i-adjacency involution on flags
-
-    @property
-    def rank(self) -> int:
-        return len(self.adj)
-
-    @property
-    def n_flags(self) -> int:
-        return len(self.adj[0]) if self.adj else 1
-
-    def validate(self):
-        n = self.n_flags
-        idx = np.arange(n)
-        for i, a in enumerate(self.adj):
-            if not np.array_equal(a[a], idx):
-                raise ValueError(f"{i}-adjacency is not an involution")
-            if (a == idx).any():
-                raise ValueError(f"{i}-adjacency has fixed points")
-        for i in range(self.rank):
-            for j in range(i + 2, self.rank):
-                if not np.array_equal(self.adj[i][self.adj[j]], self.adj[j][self.adj[i]]):
-                    raise ValueError(f"{i}- and {j}-adjacencies do not commute")
-        if self.rank and orbit_min_labels(self.adj, n).any():
-            raise ValueError("flag graph is not connected")
 
 
 def string_condition(g: MarkedGroup) -> bool:
@@ -101,60 +73,34 @@ def require_polytope_group(g: MarkedGroup):
         raise ValueError("intersection condition fails: not a polytope group")
 
 
-def flag_graph_from_group(g: MarkedGroup) -> FlagGraph:
+def flag_graph_from_group(g: MarkedGroup) -> list[np.ndarray]:
     """Coset-geometry flag graph: flags are group elements, i-adjacency is
     right multiplication by s_i."""
     require_polytope_group(g)
-    adj = [s.astype(np.int32) for s in g.gens]
-    fg = FlagGraph(adj)
-    fg.validate()
-    return fg
+    return [s.astype(np.int32) for s in g.gens]
 
 
 # ---------------------------------------------------------------------------
-# face posets
-
-
-@dataclass
-class FacePoset:
-    """Ranked candidate poset: faces per rank plus consecutive-rank incidences.
-
-    The least and greatest faces are implicit.  `mats[i]` is the boolean
-    incidence matrix between rank-i and rank-(i+1) faces.
-    """
-
-    counts: list[int]
-    mats: list[np.ndarray]
-
-    @property
-    def rank(self) -> int:
-        return len(self.counts)
-
-    @classmethod
-    def from_incidences(cls, counts, pairs_per_level) -> "FacePoset":
-        mats = []
-        for i, pairs in enumerate(pairs_per_level):
-            m = np.zeros((counts[i], counts[i + 1]), dtype=bool)
-            for a, b in pairs:
-                m[a, b] = True
-            mats.append(m)
-        return cls(list(counts), mats)
+# polytopes
 
 
 class Polytope:
-    """Polytope backed by a flag graph with derived faces.
+    """A polytope as its flag graph, with the faces it derives.
 
-    face_of_flag[w, i] is the rank-i face through flag w; faces are numbered
-    by least member flag, so the numbering is deterministic.
+    adj[i] is the i-adjacency involution on flags.  face_of_flag[w, i] is the
+    rank-i face through flag w; faces are numbered by least member flag, so
+    the numbering is deterministic.  counts[i] is the number of rank-i faces
+    and mats[i] the boolean incidence matrix between rank-i and rank-(i+1)
+    faces; the least and greatest faces are implicit.
     """
 
-    def __init__(self, fg: FlagGraph):
-        self.fg = fg
-        n, k = fg.n_flags, fg.rank
+    def __init__(self, adj: list[np.ndarray]):
+        self.adj = adj
+        n, k = self.n_flags, self.rank
         self.face_of_flag = np.empty((n, k), dtype=np.int64)
         self.counts = []
         for i in range(k):
-            others = [a for j, a in enumerate(fg.adj) if j != i]
+            others = [a for j, a in enumerate(adj) if j != i]
             lab = orbit_min_labels(others, n)
             uniq, inverse = np.unique(lab, return_inverse=True)
             self.face_of_flag[:, i] = inverse
@@ -170,23 +116,37 @@ class Polytope:
 
     @property
     def rank(self) -> int:
-        return self.fg.rank
+        return len(self.adj)
 
     @property
     def n_flags(self) -> int:
-        return self.fg.n_flags
+        return len(self.adj[0]) if self.adj else 1
 
-    def poset(self) -> FacePoset:
-        return FacePoset(list(self.counts), list(self.mats))
+    def validate(self):
+        """Raise ValueError unless the adjacencies are fixed-point-free
+        involutions, commute at rank distance >= 2 and connect the flags."""
+        n = self.n_flags
+        idx = np.arange(n)
+        for i, a in enumerate(self.adj):
+            if not np.array_equal(a[a], idx):
+                raise ValueError(f"{i}-adjacency is not an involution")
+            if (a == idx).any():
+                raise ValueError(f"{i}-adjacency has fixed points")
+        for i in range(self.rank):
+            for j in range(i + 2, self.rank):
+                if not np.array_equal(self.adj[i][self.adj[j]], self.adj[j][self.adj[i]]):
+                    raise ValueError(f"{i}- and {j}-adjacencies do not commute")
+        if self.rank and orbit_min_labels(self.adj, n).any():
+            raise ValueError("flag graph is not connected")
 
     # -- certificates -----------------------------------------------------
 
     def _certificates(self):
         """(canonical certificate, automorphism group order), computed once."""
         if self._cert is None and not is_regular(self):
-            adj = [a.tolist() for a in self.fg.adj]
+            adj = [a.tolist() for a in self.adj]
             certs = [_certificate_from(adj, s) for s in range(self.n_flags)]
-            self._cert = _cert_header(self.fg) + min(certs)
+            self._cert = _cert_header(self) + min(certs)
             self._aut = certs.count(certs[0])
         return self._cert, self._aut
 
@@ -203,40 +163,43 @@ class Polytope:
         the lcm of the cycle lengths, which are the product's orbit sizes."""
         out = []
         for i in range(1, self.rank):
-            p = self.fg.adj[i][self.fg.adj[i - 1]]
+            p = self.adj[i][self.adj[i - 1]]
             cycles = np.unique(orbit_min_labels([p], len(p)), return_counts=True)[1]
             out.append(int(np.lcm.reduce(cycles)))
         return tuple(out)
 
 
 def polytope_from_group(g: MarkedGroup) -> Polytope:
-    return Polytope(flag_graph_from_group(g))
+    p = Polytope(flag_graph_from_group(g))
+    p.validate()
+    return p
 
 
 # ---------------------------------------------------------------------------
 # polytopality axioms
 
 
-def _chain_mats(poset: FacePoset) -> list[np.ndarray]:
+def _chain_mats(counts: list[int], mats: list[np.ndarray]) -> list[np.ndarray]:
     """Incidence matrices extended by the virtual least and greatest faces."""
-    lo = np.ones((1, poset.counts[0]), dtype=bool) if poset.rank else None
-    hi = np.ones((poset.counts[-1], 1), dtype=bool) if poset.rank else None
-    if poset.rank == 0:
+    if not counts:
         return [np.ones((1, 1), dtype=bool)]
-    return [lo] + list(poset.mats) + [hi]
+    return ([np.ones((1, counts[0]), dtype=bool)] + list(mats)
+            + [np.ones((counts[-1], 1), dtype=bool)])
 
 
-def is_polytopal(poset: FacePoset) -> tuple[bool, str | None]:
-    """Check bounded / ranked / diamond / strong connectivity, in that order.
+def is_polytopal(counts: list[int], mats: list[np.ndarray]) -> tuple[bool, str | None]:
+    """Check bounded / ranked / diamond / strong connectivity, in that order,
+    on a ranked poset given as in `Polytope`: `counts[i]` rank-i faces and
+    `mats[i]` the rank-i to rank-(i+1) incidences.
 
     Returns (True, None) or (False, name of the first failed axiom).
     """
     # bounded: the representation always carries a least and a greatest face,
     # but empty ranks make them non-unique joins (no faces at all in between)
-    for i, c in enumerate(poset.counts):
+    for i, c in enumerate(counts):
         if c == 0:
             return False, f"bounded: no faces of rank {i}"
-    mats = _chain_mats(poset)
+    mats = _chain_mats(counts, mats)
     # ranked: every face lies on a maximal chain through every rank
     for i, m in enumerate(mats):
         if not m.any(axis=1).all():
@@ -332,19 +295,19 @@ def _certificate_from(adj: list[list[int]], start: int) -> bytes:
     return np.asarray(out, dtype=np.int64).tobytes()
 
 
-def _cert_header(fg: FlagGraph) -> bytes:
-    return repr((fg.rank, fg.n_flags)).encode()
+def _cert_header(p: Polytope) -> bytes:
+    return repr((p.rank, p.n_flags)).encode()
 
 
 def is_regular(p: Polytope) -> bool:
     """Flag-transitivity of the combinatorial automorphism group, from the
     certificates of flag 0 and of its rank neighbours (rank+1 BFS runs)."""
     if p._regular is None:
-        adj = [a.tolist() for a in p.fg.adj]
+        adj = [a.tolist() for a in p.adj]
         base = _certificate_from(adj, 0) if adj else b""
         p._regular = all(_certificate_from(adj, a[0]) == base for a in adj)
         if p._regular:
-            p._cert, p._aut = _cert_header(p.fg) + base, p.n_flags
+            p._cert, p._aut = _cert_header(p) + base, p.n_flags
     return p._regular
 
 
@@ -356,7 +319,7 @@ def are_isomorphic(p1: Polytope, p2: Polytope) -> bool:
 
 def dual(p: Polytope) -> Polytope:
     """Order-reversed polytope: adjacency ranks reversed."""
-    return Polytope(FlagGraph([a.copy() for a in p.fg.adj[::-1]]))
+    return Polytope([a.copy() for a in p.adj[::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +344,7 @@ def section(p: Polytope, upper: tuple[int, int] | None, lower: tuple[int, int] |
         raise ValueError("faces are not incident")
     ranks = list(range(ig + 1, jf))
     if not ranks:
-        return Polytope(FlagGraph([]))
+        return Polytope([])
     rows = p.face_of_flag[np.ix_(flags, ranks)]
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
     m = len(uniq)
@@ -390,10 +353,10 @@ def section(p: Polytope, upper: tuple[int, int] | None, lower: tuple[int, int] |
     flag_class[flags] = inverse
     for i in ranks:
         a = np.full(m, -1, dtype=np.int32)
-        img = flag_class[p.fg.adj[i][flags]]
+        img = flag_class[p.adj[i][flags]]
         a[inverse] = img
         adj.append(a)
-    return Polytope(FlagGraph(adj))
+    return Polytope(adj)
 
 
 @dataclass
@@ -445,10 +408,6 @@ def _incident_pairs(p: Polytope, i: int, j: int) -> tuple[np.ndarray, np.ndarray
     return np.unique(chains[:, :len(ends)], axis=0, return_counts=True)
 
 
-def is_section_regular(p: Polytope) -> bool:
-    return section_profile(p).is_section_regular()
-
-
 # ---------------------------------------------------------------------------
 # exports
 
@@ -487,11 +446,11 @@ def hasse_dot(p: Polytope, name: str = "polytope") -> str:
 _DOT_COLORS = ["red", "green", "blue", "orange", "purple", "brown", "cyan"]
 
 
-def flag_graph_dot(fg: FlagGraph, name: str = "flags") -> str:
+def flag_graph_dot(p: Polytope, name: str = "flags") -> str:
     lines = [f"graph {name} {{"]
-    for i, a in enumerate(fg.adj):
+    for i, a in enumerate(p.adj):
         color = _DOT_COLORS[i % len(_DOT_COLORS)]
-        for x in range(fg.n_flags):
+        for x in range(p.n_flags):
             y = int(a[x])
             if x < y:
                 lines.append(f'  {x} -- {y} [color={color}, label="{i}"];')

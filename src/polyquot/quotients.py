@@ -88,7 +88,7 @@ from . import catalog
 from .permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup,
                          SubgroupClass, conjugates, enumerate_subgroups_within,
                          orbit_min_labels, product_set_intersect, require_subgroup_bound)
-from .polytopes import FlagGraph, Polytope, is_polytopal, require_polytope_group
+from .polytopes import Polytope, is_polytopal, require_polytope_group
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def quotient_candidate(g: MarkedGroup, n_ids: np.ndarray) -> tuple[Polytope, np.
     lab = R[:, n_ids.astype(np.int64)].min(axis=1)  # least id of N*w; R[w, n] = n*w
     reps = np.unique(lab)
     orbit = np.searchsorted(reps, lab)
-    return Polytope(FlagGraph([orbit[R[gid][reps]].astype(np.int32) for gid in g.gen_ids])), reps
+    return Polytope([orbit[R[gid][reps]].astype(np.int32) for gid in g.gen_ids]), reps
 
 
 def _defect(q: Polytope) -> str | None:
@@ -132,12 +132,12 @@ def _defect(q: Polytope) -> str | None:
     flag-connected (McMullen & Schulte, Abstract Regular Polytopes, 2B10):
     they are all of its maximal chains.
     """
-    ok, why = is_polytopal(q.poset())
+    ok, why = is_polytopal(q.counts, q.mats)
     if not ok:
         return why
     if len(np.unique(q.face_of_flag, axis=0)) != q.n_flags:
         return "flags: distinct orbits induce the same maximal chain"
-    q.fg.validate()
+    q.validate()
     return None
 
 

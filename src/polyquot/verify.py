@@ -248,10 +248,10 @@ def criterion_10(ws: Workspace) -> list[CheckRow]:
     for case in (7, 10, 11, 12, 13, 19, 21):
         rep = ws.report(case)
         up = ws.universal(case).polytope()
-        ok, why = is_polytopal(up.poset())
+        ok, why = is_polytopal(up.counts, up.mats)
         poly_ok &= ok
         for q in rep.records:
-            ok, why = is_polytopal(q.polytope.poset())
+            ok, why = is_polytopal(q.polytope.counts, q.polytope.mats)
             poly_ok &= ok
             reg_ok &= (is_regular(q.polytope) == q.is_regular == q.is_normal
                        == (q.class_size == 1))

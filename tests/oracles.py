@@ -212,14 +212,14 @@ def _catalog_certificates():
     from polyquot.catalog import dihedron, hosohedron, rank3_catalog
 
     entries = rank3_catalog() + [f(k) for k in range(2, 7) for f in (dihedron, hosohedron)]
-    return {all_starts_certificate(e.polytope().fg.adj)[0]: e.name for e in entries}
+    return {all_starts_certificate(e.polytope().adj)[0]: e.name for e in entries}
 
 
 def catalog_name_by_certificate(p):
     """The catalog name of a polytope by certificate lookup, the reference for
     `catalog.identify`: the entry whose polytope has p's canonical
     certificate, or `unrecognized:{type}`."""
-    name = _catalog_certificates().get(all_starts_certificate(p.fg.adj)[0])
+    name = _catalog_certificates().get(all_starts_certificate(p.adj)[0])
     return name or "unrecognized:{" + ",".join(map(str, p.schlafli_type())) + "}"
 
 
@@ -239,12 +239,22 @@ def _bfs_relabelling(adj, start):
     return array("q", [label[a[f]] for a in adj for f in order]).tobytes()
 
 
+def incidence_mats(counts, pairs_per_level):
+    """Boolean incidence matrices between consecutive ranks, from the
+    incident (rank-k face, rank-(k+1) face) pairs of each rank k."""
+    mats = [np.zeros((counts[k], counts[k + 1]), dtype=bool) for k in range(len(pairs_per_level))]
+    for m, pairs in zip(mats, pairs_per_level):
+        for a, b in pairs:
+            m[a, b] = True
+    return mats
+
+
 def strongly_connected(counts, mats):
     """Whether every section of rank >= 2 of a ranked poset is connected, by
     one union-find per section.
 
     `counts[k]` is the number of rank-k faces and `mats[k][a][b]` says whether
-    rank-k face a lies below rank-(k+1) face b, as in `FacePoset`; the least
+    rank-k face a lies below rank-(k+1) face b, as in `Polytope`; the least
     and greatest faces are added here.  Faces are (chain index, face) pairs,
     chain index 0 being the least face and the last the greatest.
     """

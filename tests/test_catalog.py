@@ -7,8 +7,8 @@ from polyquot.catalog import (SchlafliSymbol, build_ditope, central_quotient,
                               identify, rank3_catalog, with_petrie)
 from polyquot.coset import broken_relator, coset_enumeration, perm_rep
 from polyquot.permgroups import is_involution, orbit_min_labels
-from polyquot.polytopes import (FlagGraph, Polytope, are_isomorphic, dual,
-                                is_section_regular, polytope_from_group)
+from polyquot.polytopes import (Polytope, are_isomorphic, dual, polytope_from_group,
+                                section_profile)
 from polyquot.presentations import power_word
 from polyquot.quotients import semisparse_classes
 
@@ -158,7 +158,7 @@ def test_projective_entries_have_no_proper_quotients(name):
 
 def test_section_regularity_of_catalog():
     for e in rank3_catalog():
-        assert is_section_regular(e.polytope())
+        assert section_profile(e.polytope()).is_section_regular()
 
 
 def test_identify():
@@ -172,9 +172,9 @@ def test_identify():
 
 def test_identify_needs_a_connected_flag_graph():
     """Two disjoint hemicubes satisfy the cube's relators on 48 flags."""
-    adj = entry_by_name("hemicube").polytope().fg.adj
-    two = Polytope(FlagGraph([np.concatenate([a, a + len(a)]) for a in adj]))
-    assert broken_relator(two.fg.adj, entry_by_name("cube").presentation().relators) is None
+    adj = entry_by_name("hemicube").polytope().adj
+    two = Polytope([np.concatenate([a, a + len(a)]) for a in adj])
+    assert broken_relator(two.adj, entry_by_name("cube").presentation().relators) is None
     assert identify(two) == catalog_name_by_certificate(two) == "unrecognized:{4,3}"
 
 
@@ -182,12 +182,12 @@ def test_identify_needs_involutions():
     """Replacing s2 by s0 s1 s0 s2 s1, of order 4, keeps the tetrahedron's
     relators and a transitive action on 24 flags."""
     e = entry_by_name("tetrahedron")
-    adj = e.polytope().fg.adj
+    adj = e.polytope().adj
     z = np.arange(len(adj[0]))
     for x in (0, 1, 0, 2, 1):
         z = adj[x][z]
-    p = Polytope(FlagGraph([adj[0], adj[1], z]))
-    assert broken_relator(p.fg.adj, e.presentation().relators) is None
-    assert not is_involution(z) and not orbit_min_labels(p.fg.adj, p.n_flags).any()
+    p = Polytope([adj[0], adj[1], z])
+    assert broken_relator(p.adj, e.presentation().relators) is None
+    assert not is_involution(z) and not orbit_min_labels(p.adj, p.n_flags).any()
     assert identify(p) == catalog_name_by_certificate(p)
     assert identify(p).startswith("unrecognized:")

@@ -63,6 +63,30 @@ def test_export_unknown_entry(capsys):
     assert err == "usage error: unknown catalog entry 'nope'\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("build", "--facet", "hosohedron(1)", "--vfig", "cube"), "hosohedron(1)"),
+    (("export", "--entry", "dihedron(1)"), "dihedron(1)"),
+])
+def test_degenerate_name_below_two_is_usage_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"usage error: unknown catalog entry {name!r}\n"
+
+
+@pytest.mark.parametrize("p", [6000, 300000])
+def test_export_entry_above_order_limit_is_refused_before_enumerating(capsys, p):
+    code, out, err = run(capsys, "export", "--entry", f"dihedron({p})")
+    assert code == 2 and out == ""
+    assert err.startswith(f"bound exceeded: dihedron({p}): group order {4 * p} exceeds")
+
+
+def test_build_long_relator_hits_coset_budget(capsys):
+    # (s0 s1)^30000 has two distinct rotations, not 120000
+    code, out, _ = run(capsys, "build", "--facet", "dihedron(30000)", "--vfig", "hosohedron(2)",
+                       "--max-cosets", "1000")
+    assert code == 2 and "exceeded-limit" in out
+
+
 def test_build_exceeded_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "build", "--facet", "cube",
                        "--vfig", "hemi-icosahedron", "--max-cosets", "100")

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from polyquot import coset
 from polyquot.amalgam import LARGE_CASES, TABLE1, amalgam_presentation, case_spec
-from polyquot.catalog import SchlafliSymbol, coxeter_presentation, petrie_relator
+from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, petrie_relator,
+                              rank3_catalog)
 from polyquot.coset import (CLOSED, EXCEEDED, CosetTable, RelatorMismatch,
                             coset_enumeration, perm_rep)
-from polyquot.presentations import Presentation
+from polyquot.presentations import Presentation, normalize_relators
 
 from oracles import (ReferenceEnumerator, mulclose, signed_permutation_group,
                      full_icosahedral_order)
@@ -172,6 +173,29 @@ def test_finite_symbols_against_reference_enumerator(symbol, data):
     words = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5)
                                .map(tuple), max_size=3))
     _assert_matches_reference(cox(*symbol).with_relators(petrie), words)
+
+
+def _assert_edp_is_every_rotation(pres):
+    # `edp` rotates a relator only by its least period; the set must be that
+    # of every rotation of every relator and of its reverse
+    naive = {w[i:] + w[:i] for rel in normalize_relators(pres.relators)
+             for w in (rel, rel[::-1]) for i in range(len(w))}
+    edp = coset._Enumerator(pres, 10).edp
+    assert [w for x in range(pres.rank) for w, _ in edp[x]] == sorted(naive)
+
+
+@pytest.mark.parametrize("pres", [e.presentation() for e in rank3_catalog(degenerate=True)]
+                         + [amalgam_presentation(c.amalgam()) for c in TABLE1])
+def test_relator_rotations_match_every_rotation(pres):
+    _assert_edp_is_every_rotation(pres)
+
+
+@given(rels=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple),
+                     min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_rotations_of_any_relators(rels):
+    # words such as 01010, whose border 010 is no period dividing the length
+    _assert_edp_is_every_rotation(Presentation(3, tuple(rels)))
 
 
 CASE20_FACET_WORDS = [(0,), (1,), (2,)]

@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from polyquot.amalgam import build_universal, case_spec
 from polyquot.catalog import dihedron, entry_by_name, hosohedron
 from polyquot.permgroups import MarkedGroup
-from polyquot.polytopes import (FacePoset, FlagGraph, Polytope, are_isomorphic,
-                                dual, flag_graph_from_group,
+from polyquot.polytopes import (Polytope, are_isomorphic, dual, flag_graph_from_group,
                                 flag_graph_dot, hasse_dot, intersection_condition,
                                 is_polytopal, is_regular, polytope_from_group,
                                 polytope_json, section, section_profile)
 from polyquot.permgroups import enumerate_subgroups
 from polyquot.quotients import quotient_candidate, quotient_polytope
 
-from oracles import all_starts_certificate, strongly_connected
+from oracles import all_starts_certificate, incidence_mats, strongly_connected
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +31,8 @@ def test_flag_counts(cube_p, ws):
 
 def test_rank_one_flag_graph():
     g = MarkedGroup(2, [np.array([1, 0])])
-    fg = flag_graph_from_group(g)
-    assert fg.n_flags == 2 and fg.rank == 1
+    p = polytope_from_group(g)
+    assert p.n_flags == 2 and p.rank == 1
 
 
 def test_face_counts(cube_p):
@@ -48,37 +47,33 @@ def test_eleven_cell_faces(ws):
 def test_flag_graph_roundtrip():
     for name in ("cube", "hemicube", "hemi-icosahedron"):
         g = entry_by_name(name).group()
-        fg = flag_graph_from_group(g)
-        p = Polytope(fg)
-        p2 = Polytope(p.fg)
+        p = Polytope(flag_graph_from_group(g))
+        p2 = Polytope(p.adj)
         assert are_isomorphic(p, p2)
 
 
 def test_is_polytopal_cube(cube_p):
-    ok, why = is_polytopal(cube_p.poset())
+    ok, why = is_polytopal(cube_p.counts, cube_p.mats)
     assert ok and why is None
 
 
 def test_is_polytopal_diamond_violation():
     # an edge with three vertices under it
-    poset = FacePoset.from_incidences(
-        [3, 1], [[(0, 0), (1, 0), (2, 0)]])
-    ok, why = is_polytopal(poset)
+    counts = [3, 1]
+    ok, why = is_polytopal(counts, incidence_mats(counts, [[(0, 0), (1, 0), (2, 0)]]))
     assert not ok and why.startswith("diamond")
 
 
 def test_is_polytopal_diagnoses_ranked_failure():
-    poset = FacePoset.from_incidences(
-        [2, 2], [[(0, 0), (1, 0)]])  # second edge has nothing below
-    ok, why = is_polytopal(poset)
+    counts = [2, 2]
+    # second edge has nothing below
+    ok, why = is_polytopal(counts, incidence_mats(counts, [[(0, 0), (1, 0)]]))
     assert not ok and why.startswith("ranked")
 
 
 def test_is_polytopal_disconnected():
     # two disjoint digons: diamond and ranked pass, connectivity fails
-    poset = FacePoset.from_incidences(
-        [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]])
-    ok, why = is_polytopal(poset)
+    ok, why = is_polytopal(*TWO_DIGONS)
     assert not ok and why.startswith("connected")
 
 
@@ -92,9 +87,12 @@ def _poset_of_cells(cells, ditope=False):
         ranks.append([frozenset().union(*cells)] * 2)
     pairs = [[(a, b) for a, x in enumerate(lo) for b, y in enumerate(up) if x <= y]
              for lo, up in zip(ranks, ranks[1:])]
-    return FacePoset.from_incidences([len(r) for r in ranks], pairs)
+    counts = [len(r) for r in ranks]
+    return counts, incidence_mats(counts, pairs)
 
 
+TWO_DIGONS = ([4, 4], incidence_mats(
+    [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]))
 TETRAHEDRON = [{0, 1, 2, 3}]
 PINCHED = [{0, 1, 2, 3}, {0, 4, 5, 6}]  # two tetrahedra sharing vertex 0
 
@@ -110,38 +108,39 @@ PINCHED = [{0, 1, 2, 3}, {0, 4, 5, 6}]  # two tetrahedra sharing vertex 0
 ])
 def test_connectivity_alone_fails(cells, ditope, ok):
     poset = _poset_of_cells(cells, ditope)
-    assert strongly_connected(poset.counts, poset.mats) == ok
+    assert strongly_connected(*poset) == ok
     expected = (True, None) if ok else (False, "connected: some section of rank >= 2 is disconnected")
-    assert is_polytopal(poset) == expected
+    assert is_polytopal(*poset) == expected
 
 
 @cache
 def _connectivity_posets():
     """Hand-built posets and every quotient candidate of the cube."""
     posets = [_poset_of_cells(c, d) for c in (TETRAHEDRON, PINCHED) for d in (False, True)]
-    posets.append(FacePoset.from_incidences(  # two disjoint digons
-        [4, 4], [[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]))
+    posets.append(TWO_DIGONS)
     g = entry_by_name("cube").group()
-    posets += [quotient_candidate(g, c.rep.elem_ids)[0].poset() for c in enumerate_subgroups(g)]
+    for c in enumerate_subgroups(g):
+        q = quotient_candidate(g, c.rep.elem_ids)[0]
+        posets.append((q.counts, q.mats))
     return posets
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_polytopal_invariant_under_face_relabelling(data):
-    poset = data.draw(st.sampled_from(_connectivity_posets()))
-    sigma = [np.array(data.draw(st.permutations(range(c)))) for c in poset.counts]
+    counts, mats0 = data.draw(st.sampled_from(_connectivity_posets()))
+    sigma = [np.array(data.draw(st.permutations(range(c)))) for c in counts]
     mats = []
-    for k, m in enumerate(poset.mats):
+    for k, m in enumerate(mats0):
         r = np.empty_like(m)
         r[np.ix_(sigma[k], sigma[k + 1])] = m  # face a of rank k becomes sigma[k][a]
         mats.append(r)
-    ok, why = is_polytopal(FacePoset(list(poset.counts), mats))
-    ok0, why0 = is_polytopal(poset)
+    ok, why = is_polytopal(counts, mats)
+    ok0, why0 = is_polytopal(counts, mats0)
     axiom = (why or "").split(":")[0]  # a diamond reason quotes the first bad count met
     assert (ok, axiom) == (ok0, (why0 or "").split(":")[0])
     if axiom in ("", "connected"):
-        assert ok == strongly_connected(poset.counts, mats)
+        assert ok == strongly_connected(counts, mats)
 
 
 def test_quotient_by_reflection_rejected():
@@ -260,9 +259,7 @@ def test_section_profile_summary(cube_p):
 
 
 def test_universal_13_section_regular(ws):
-    from polyquot.polytopes import is_section_regular
-
-    assert is_section_regular(ws.universal(13).polytope())
+    assert section_profile(ws.universal(13).polytope()).is_section_regular()
 
 
 def test_57_cell_regular(ws):
@@ -275,7 +272,7 @@ def test_exports(cube_p):
     assert js["regular"] is True
     dot = hasse_dot(cube_p)
     assert "least" in dot and "greatest" in dot and "->" in dot
-    fdot = flag_graph_dot(cube_p.fg)
+    fdot = flag_graph_dot(cube_p)
     assert "--" in fdot and "color=" in fdot
 
 
@@ -320,7 +317,7 @@ def _polytopes(ws, data):
 
 @cache
 def _oracle(p):
-    return all_starts_certificate(p.fg.adj)
+    return all_starts_certificate(p.adj)
 
 
 @given(data=st.data())
@@ -336,11 +333,11 @@ def _relabelled(p, data):
     """p with its flags renumbered by a drawn permutation."""
     sigma = np.array(data.draw(st.permutations(range(p.n_flags))))
     adj = []
-    for a in p.fg.adj:
+    for a in p.adj:
         b = np.empty_like(a)
         b[sigma] = sigma[a]  # flag x becomes sigma[x]
         adj.append(b)
-    return Polytope(FlagGraph(adj))
+    return Polytope(adj)
 
 
 @given(data=st.data())
@@ -381,6 +378,6 @@ def test_polygon_classes_match_oracle_certificates(ws, data):
                     s = section(p, up, lo)
                 except ValueError:  # not incident
                     continue
-                flags_by_cert[all_starts_certificate(s.fg.adj)[0]].append(s.n_flags)
+                flags_by_cert[all_starts_certificate(s.adj)[0]].append(s.n_flags)
         assert all(len(set(flags)) == 1 for flags in flags_by_cert.values())
         assert {flags[0]: len(flags) for flags in flags_by_cert.values()} == prof.classes[(i, j)]

@@ -9,7 +9,7 @@ from polyquot.catalog import entry_by_name, identify, rank3_catalog
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, conjugates, enumerate_subgroups,
                                  enumerate_subgroups_within,
                                  product_set_intersect)
-from polyquot.polytopes import (FacePoset, are_isomorphic, is_polytopal, is_regular,
+from polyquot.polytopes import (are_isomorphic, is_polytopal, is_regular,
                                 polytope_from_group, section, section_profile)
 from polyquot.quotients import (_defect, classify_quotients,
                                 is_semisparse, is_semisparse_product_criterion,
@@ -17,8 +17,8 @@ from polyquot.quotients import (_defect, classify_quotients,
                                 quotient_polytope, semisparse_allowed_mask,
                                 semisparse_classes, semisparse_diagnostic)
 
-from oracles import (catalog_name_by_certificate, generator_pair_mask, maximal_chain_count,
-                     orbit_join_quotient)
+from oracles import (catalog_name_by_certificate, generator_pair_mask, incidence_mats,
+                     maximal_chain_count, orbit_join_quotient)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_rejection_diagnostic(cube):
 
 def _oracle_defect(counts, incidences, chains):
     """The semisparse defect of the oracle's poset, by the same rules."""
-    ok, why = is_polytopal(FacePoset.from_incidences(counts, incidences))
+    ok, why = is_polytopal(counts, incidence_mats(counts, incidences))
     if not ok:
         return why
     if len(set(chains)) != len(chains):
@@ -237,7 +237,7 @@ def test_conjugate_subgroups_give_isomorphic_quotients_192(ws):
 def test_all_quotients_pass_axioms(ws):
     for case in (10, 11):
         for r in ws.report(case).records:
-            ok, why = is_polytopal(r.polytope.poset())
+            ok, why = is_polytopal(r.polytope.counts, r.polytope.mats)
             assert ok, why
 
 
