@@ -3,9 +3,12 @@
 The group of the universal polytope with facet K and vertex figure L is
 presented by the string Coxeter relators of the combined type plus K's extra
 relators on (s_0,s_1,s_2) and L's extra relators on (s_1,s_2,s_3).  The
-enumeration closes on a finite group for every case here; the outcome is
-classified by comparing the parabolic subgroups against the prescribed facet
-and vertex-figure groups and checking the intersection condition.
+group is finite for every desk-scale case here.  It is built from its action
+on the cosets of a rank-3 parabolic when that action certifies itself
+faithful (see `build_universal`), and from the coset table of the trivial
+subgroup otherwise.  The outcome is classified by comparing the parabolic
+subgroups against the prescribed facet and vertex-figure groups and checking
+the intersection condition.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
 from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, perm_rep
-from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup
+from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
 from .polytopes import Polytope, intersection_condition, polytope_from_group
 from .presentations import Presentation
 
@@ -88,21 +91,41 @@ class UniversalResult:
 
 
 def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> UniversalResult:
-    """Enumerate the amalgam group and classify the outcome.
+    """Build the amalgam group and classify the outcome.
 
     `collapsed` when a parabolic subgroup is a proper quotient of the
     prescribed facet or vertex-figure group; `not-polytopal` when the
     parabolics are full but the intersection condition fails.
+
+    The group comes from its action on the cosets of a rank-3 parabolic H,
+    the one with the larger prescribed group F first, then the other (see
+    `permgroups.regular_from_action`).  The amalgam's relators contain F's,
+    so H is a quotient of F and the action's image P has at most d*|F|
+    elements, d the index; an orbit of d*|F| tuples of cosets then proves
+    that P is the whole group (the core of H is trivial), that H is F, and
+    that the tuple is a base.  When neither parabolic gives that certificate
+    the trivial subgroup is enumerated, and its table is the regular action.
+    Both routes number the elements in the same order on every Table 1 case
+    and every closed pair of catalog entries, which the tests check.
+
+    `max_cosets` bounds every enumeration, and also the lifted order: a
+    parabolic is lifted only when d*|F| is within it and within the order
+    limit.  `cosets_defined` is the sum over the enumerations run.
+    `exceeded-limit` when the trivial enumeration needs more than
+    `max_cosets` cosets.
     """
     pres = amalgam_presentation(spec)
-    table = coset_enumeration(pres, max_cosets=max_cosets)
-    if table.status == EXCEEDED:
-        return UniversalResult(spec, EXCEEDED, cosets_defined=table.cosets_defined)
-    g = perm_rep(table)
+    g, defined = _lifted_group(pres, spec, max_cosets)
+    if g is None:
+        table = coset_enumeration(pres, max_cosets=max_cosets)
+        defined += table.cosets_defined
+        if table.status == EXCEEDED:
+            return UniversalResult(spec, EXCEEDED, cosets_defined=defined)
+        g = perm_rep(table)
     facet_sub = g.parabolic([0, 1, 2])
     vfig_sub = g.parabolic([1, 2, 3])
     res = UniversalResult(spec, EXISTS, g, facet_sub.order, vfig_sub.order,
-                          cosets_defined=table.cosets_defined)
+                          cosets_defined=defined)
     detail = []
     if facet_sub.order < spec.facet.expected_order:
         detail.append(
@@ -121,6 +144,25 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         res.collapse_detail = "parabolic orders match but the intersection condition fails"
         return res
     return res
+
+
+def _lifted_group(pres: Presentation, spec: AmalgamSpec,
+                  max_cosets: int) -> tuple[MarkedGroup | None, int]:
+    """The group's regular action lifted from a parabolic coset action, or
+    None, with the cosets the enumerations defined (see `build_universal`)."""
+    bound = min(max_cosets, DEFAULT_ORDER_LIMIT)
+    defined = 0
+    candidates = sorted((((0, 1, 2), spec.facet), ((1, 2, 3), spec.vfig)),
+                        key=lambda c: -c[1].expected_order)
+    for idx, entry in candidates:
+        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=max_cosets)
+        defined += table.cosets_defined
+        order = table.n_cosets * entry.expected_order
+        if table.is_closed and order <= bound:
+            g = regular_from_action([table.column(x) for x in range(pres.rank)], order)
+            if g is not None:
+                return g, defined
+    return None, defined
 
 
 def _parabolic_name(g: MarkedGroup, idx) -> str:
@@ -187,8 +229,9 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
     Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; they
     are reported as exceeded-limit without burning the full coset budget.
     With stretch=True case 20 is enumerated over its facet subgroup (see
-    `build_universal_over_facet`).  Case 22 is reported so even then: its facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over
-    the stretch budget, and it is the dual of case 20.
+    `build_universal_over_facet`).  Case 22 is reported so even then: its
+    facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over the stretch
+    budget, and it is the dual of case 20.
     """
     out: dict[int, UniversalResult] = {}
     for case in TABLE1:

@@ -4,14 +4,18 @@ A MarkedGroup is a finite group together with its ordered list of
 distinguished involutory generators (the s_i of a string group), given by its
 right-regular action: the generators are image arrays on range(n), n the group
 order, and a point j stands for the one element sending point 0 to j.  Every
-group the package builds reaches it that way; the closed coset table of the
-trivial subgroup is exactly such an action.  Permutations act on the right,
-so the product a*b applies a first, and element j's image array is the row of
-the multiplication table that right-multiplies by j: element i times element
-j sends 0 to elem_j[elem_i[0]] = elem_j[i].  The image arrays of a regular
-action already differ at point 0, so numbering the elements by the point they
-send 0 to is the lexicographic order of their image arrays, and element ids,
-subgroup representatives and report orderings are reproducible across runs.
+group the package builds reaches it that way: the closed coset table of the
+trivial subgroup is exactly such an action, and `regular_from_action` builds
+it from a smaller faithful action, as the orbit of a base tuple (Sims,
+Computational methods in the study of permutation groups, 1970; Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, sections 4.4 and 5).
+Permutations act on the right, so the product a*b applies a first, and
+element j's image array is the row of the multiplication table that
+right-multiplies by j: element i times element j sends 0 to
+elem_j[elem_i[0]] = elem_j[i].  The image arrays of a regular action already
+differ at point 0, so numbering the elements by the point they send 0 to is
+the lexicographic order of their image arrays, and element ids, subgroup
+representatives and report orderings are reproducible across runs.
 Membership of a permutation p is one row comparison, against row p[0].
 
 The regularity check and the table follow one breadth-first tree of points:
@@ -161,6 +165,62 @@ def _orbit_of_zero(perms, n: int) -> np.ndarray:
         # the pieces of a level are already disjoint
         frontier = np.concatenate(new) if new else frontier[:0]
     return np.flatnonzero(seen).astype(np.int32)
+
+
+def _base_length(d: int) -> int:
+    """The longest tuple of points of range(d) that one int64 key holds, d at
+    most: the least of d and the largest m with d^m < 2^63."""
+    m = 1
+    while m < d and d ** (m + 1) < 2**63:
+        m += 1
+    return m
+
+
+def regular_from_action(perms, order: int, points: int | None = None) -> "MarkedGroup | None":
+    """The regular action of the group the permutations generate, when the
+    orbit of the tuple (0, ..., points-1) has exactly `order` members, else
+    None.  `points` defaults to `_base_length` of the degree.
+
+    The orbit has |P| / |stabiliser of the tuple| members, P the group the
+    permutations generate, so an orbit of a known upper bound on |P| proves
+    that bound is |P| and that the tuple is a base.  The orbit is then the
+    group's right-regular action: its members are numbered by a breadth-first
+    search from the base tuple, level by level, in order of first appearance
+    with (member, generator) scanned in row-major order, and generator k sends
+    member j to the number of member j's image under permutation k.  Each
+    tuple is one exact int64 key, the digits of its points in base d.
+    """
+    d = len(perms[0])
+    m = _base_length(d) if points is None else points
+    weights = d ** np.arange(m, dtype=np.int64)
+    frontier = np.arange(m, dtype=np.int64) @ weights[:, None]  # keys of one BFS level
+    ids = np.zeros(1, dtype=np.int32)
+    seen_keys, seen_ids = frontier, ids  # sorted by key
+    gens = np.empty((len(perms), order), dtype=np.int32)
+    n = 1
+    while frontier.size:
+        tuples = frontier[:, None] // weights % d
+        img = np.stack([p[tuples] @ weights for p in perms], axis=1)  # member x generator
+        keys, first, inverse = np.unique(img.ravel(), return_index=True, return_inverse=True)
+        pos = np.minimum(np.searchsorted(seen_keys, keys), len(seen_keys) - 1)
+        old = seen_keys[pos] == keys
+        new = np.flatnonzero(~old)
+        new = new[np.argsort(first[new])]
+        if n + len(new) > order:
+            return None
+        key_ids = np.empty(len(keys), dtype=np.int32)
+        key_ids[old] = seen_ids[pos[old]]
+        key_ids[new] = np.arange(n, n + len(new), dtype=np.int32)
+        gens[:, ids] = key_ids[inverse.ravel()].reshape(img.shape).T
+        frontier, ids = keys[new], key_ids[new]
+        n += len(new)
+        seen_keys = np.concatenate([seen_keys, frontier])
+        seen_ids = np.concatenate([seen_ids, ids])
+        by_key = np.argsort(seen_keys)
+        seen_keys, seen_ids = seen_keys[by_key], seen_ids[by_key]
+    if n < order:
+        return None
+    return MarkedGroup(order, list(gens))
 
 
 def _ids_key(ids) -> bytes:

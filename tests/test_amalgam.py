@@ -1,15 +1,18 @@
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from polyquot import amalgam
-from polyquot.amalgam import (COLLAPSED, EXISTS, AmalgamSpec, TABLE1,
+from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, case_spec,
                               classify_table1, twisted_over)
-from polyquot.catalog import entry_by_name, petrie_relator
-from polyquot.coset import EXCEEDED
+from polyquot.catalog import entry_by_name, petrie_relator, rank3_catalog
+from polyquot.coset import EXCEEDED, coset_enumeration, perm_rep
+from polyquot.permgroups import DEFAULT_ORDER_LIMIT, regular_from_action
 from polyquot.polytopes import are_isomorphic, dual, polytope_from_group
 from polyquot.presentations import power_word
 
@@ -224,3 +227,106 @@ def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
     results = classify_table1(stretch=True)
     assert over_facet == [amalgam_presentation(case_spec(20).amalgam())]
     assert results[22].outcome == EXCEEDED and results[22].cosets_defined == 0
+
+
+# ---------------------------------------------------------------------------
+# the group lifted from a parabolic coset action
+
+
+def _trivial_subgroup_group(spec):
+    """The ground truth: the regular action read off the trivial subgroup's
+    coset table."""
+    return perm_rep(coset_enumeration(amalgam_presentation(spec), max_cosets=DEFAULT_ORDER_LIMIT))
+
+
+def _same_gens(g, h):
+    return len(g.gens) == len(h.gens) and all(np.array_equal(a, b) for a, b in zip(g.gens, h.gens))
+
+
+def _enumerated_subgroups(monkeypatch):
+    """Record the subgroup words of every enumeration build_universal runs."""
+    calls = []
+    real = amalgam.coset_enumeration
+
+    def spy(pres, subgroup_words=(), **kwargs):
+        calls.append(tuple(subgroup_words))
+        return real(pres, subgroup_words, **kwargs)
+
+    monkeypatch.setattr(amalgam, "coset_enumeration", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", [c.number for c in TABLE1 if c.number not in LARGE_CASES])
+def test_built_group_is_the_trivial_subgroup_table(ws, case):
+    assert _same_gens(ws.universal(case).group, _trivial_subgroup_group(case_spec(case).amalgam()))
+
+
+def test_built_group_is_the_trivial_subgroup_table_on_catalog_pairs(monkeypatch):
+    calls = _enumerated_subgroups(monkeypatch)
+    entries = rank3_catalog(degenerate=True)
+    closed = lifted = 0
+    for k in entries:
+        for v in entries:
+            if k.symbol.entries[1] != v.symbol.entries[0]:
+                continue
+            spec = AmalgamSpec(k, v)
+            table = coset_enumeration(amalgam_presentation(spec), max_cosets=DEFAULT_ORDER_LIMIT)
+            if table.status == EXCEEDED:
+                continue
+            closed += 1
+            calls.clear()
+            assert _same_gens(build_universal(spec).group, perm_rep(table)), spec.name
+            lifted += () not in calls
+    assert (closed, lifted) == (84, 12)
+
+
+def test_lift_refuses_a_parabolic_with_a_core():
+    # case 10's facet parabolic has a kernel of 8 on its 4 cosets
+    spec = case_spec(10).amalgam()
+    table = coset_enumeration(amalgam_presentation(spec), [(0,), (1,), (2,)])
+    assert table.n_cosets == 4
+    cols = [table.column(x) for x in range(4)]
+    assert regular_from_action(cols, table.n_cosets * spec.facet.expected_order) is None
+
+
+def test_lift_refuses_a_tuple_that_is_no_base():
+    # case 7 acts faithfully on its 11 facets, but one facet's orbit is 11 points
+    spec = case_spec(7).amalgam()
+    table = coset_enumeration(amalgam_presentation(spec), [(0,), (1,), (2,)])
+    cols = [table.column(x) for x in range(4)]
+    assert regular_from_action(cols, 660, points=1) is None
+    assert regular_from_action(cols, 600) is None  # an orbit larger than `order`
+    assert regular_from_action(cols, 660).order == 660
+
+
+def test_short_orbit_falls_through_to_the_trivial_subgroup(monkeypatch):
+    calls = _enumerated_subgroups(monkeypatch)
+    monkeypatch.setattr(amalgam, "regular_from_action", partial(regular_from_action, points=1))
+    spec = case_spec(7).amalgam()
+    res = build_universal(spec)
+    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()]
+    assert res.outcome == EXISTS and res.cosets_defined == 11 + 11 + 660
+    assert _same_gens(res.group, _trivial_subgroup_group(spec))
+
+
+@pytest.mark.parametrize("case", [6, 7, 8, 13, 19, 21])
+def test_lifted_cases_enumerate_no_trivial_subgroup(monkeypatch, case):
+    calls = _enumerated_subgroups(monkeypatch)
+    res = build_universal(case_spec(case).amalgam())
+    assert () not in calls and res.group is not None
+
+
+def test_case11_still_enumerates_the_trivial_subgroup(monkeypatch):
+    # both parabolics of case 11 have a nontrivial core
+    calls = _enumerated_subgroups(monkeypatch)
+    res = build_universal(case_spec(11).amalgam())
+    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()]
+    assert res.order == 96 and res.cosets_defined == 4 + 4 + 96
+
+
+def test_budget_bounds_the_lifted_order():
+    # case 7's 660 elements are lifted from 11 cosets only when the budget allows 660
+    spec = case_spec(7).amalgam()
+    assert build_universal(spec, max_cosets=660).cosets_defined == 11
+    res = build_universal(spec, max_cosets=659)
+    assert res.outcome == EXCEEDED and res.group is None

@@ -93,6 +93,14 @@ def test_build_exceeded_exit_code(capsys, monkeypatch):
     assert code == 2
 
 
+def test_budget_bounds_the_lifted_order_not_the_trivial_enumeration(capsys):
+    # case 6's 660 elements come from 11 vertex-figure cosets; the trivial
+    # subgroup would need 2950 cosets
+    code, out, _ = run(capsys, "build", "--facet", "icosahedron", "--vfig", "hemidodecahedron",
+                       "--max-cosets", "1000")
+    assert code == 0 and ": collapsed" in out and "group order 660" in out
+
+
 def test_env_var_overrides_max_cosets(capsys, monkeypatch):
     monkeypatch.setenv("POLYQUOT_MAX_COSETS", "100")
     code, out, _ = run(capsys, "build", "--facet", "cube", "--vfig", "hemi-icosahedron")
