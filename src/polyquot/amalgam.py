@@ -20,7 +20,8 @@ import numpy as np
 from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
 from .config import STRETCH_MAX_COSETS
-from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, perm_rep
+from .coset import (DEFAULT_MAX_COSETS, EXCEEDED, RelatorMismatch, broken_relator,
+                    coset_enumeration, perm_rep)
 from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
 from .polytopes import Polytope, intersection_condition, polytope_from_group
 from .presentations import Presentation
@@ -110,7 +111,9 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
     `max_cosets` bounds every enumeration, and also the lifted order: a
     parabolic is lifted only when d*|F| is within it and within the order
-    limit.  `cosets_defined` is the sum over the enumerations run.
+    limit, so its enumeration stops at the lesser of the two.  A lifted
+    group must satisfy every relator, else RelatorMismatch, as in
+    `perm_rep`.  `cosets_defined` is the sum over the enumerations run.
     `exceeded-limit` when the trivial enumeration needs more than
     `max_cosets` cosets.
     """
@@ -155,12 +158,16 @@ def _lifted_group(pres: Presentation, spec: AmalgamSpec,
     candidates = sorted((((0, 1, 2), spec.facet), ((1, 2, 3), spec.vfig)),
                         key=lambda c: -c[1].expected_order)
     for idx, entry in candidates:
-        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=max_cosets)
+        # a table of more than bound / |F| cosets cannot lift
+        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=bound)
         defined += table.cosets_defined
         order = table.n_cosets * entry.expected_order
         if table.is_closed and order <= bound:
             g = regular_from_action([table.column(x) for x in range(pres.rank)], order)
             if g is not None:
+                rel = broken_relator(g.gens, pres.relators)
+                if rel is not None:
+                    raise RelatorMismatch(f"relator {rel} not satisfied by the lifted permutations")
                 return g, defined
     return None, defined
 

@@ -176,10 +176,10 @@ def _base_length(d: int) -> int:
     return m
 
 
-def regular_from_action(perms, order: int, points: int | None = None) -> "MarkedGroup | None":
+def regular_from_action(perms, order: int) -> "MarkedGroup | None":
     """The regular action of the group the permutations generate, when the
-    orbit of the tuple (0, ..., points-1) has exactly `order` members, else
-    None.  `points` defaults to `_base_length` of the degree.
+    orbit of the tuple (0, ..., m-1) has exactly `order` members, else None;
+    m is `_base_length` of the degree.
 
     The orbit has |P| / |stabiliser of the tuple| members, P the group the
     permutations generate, so an orbit of a known upper bound on |P| proves
@@ -191,7 +191,7 @@ def regular_from_action(perms, order: int, points: int | None = None) -> "Marked
     tuple is one exact int64 key, the digits of its points in base d.
     """
     d = len(perms[0])
-    m = _base_length(d) if points is None else points
+    m = _base_length(d)
     weights = d ** np.arange(m, dtype=np.int64)
     frontier = np.arange(m, dtype=np.int64) @ weights[:, None]  # keys of one BFS level
     ids = np.zeros(1, dtype=np.int32)

@@ -1,11 +1,10 @@
 import tracemalloc
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polyquot import amalgam
+from polyquot import amalgam, permgroups
 from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, case_spec,
@@ -289,19 +288,20 @@ def test_lift_refuses_a_parabolic_with_a_core():
     assert regular_from_action(cols, table.n_cosets * spec.facet.expected_order) is None
 
 
-def test_lift_refuses_a_tuple_that_is_no_base():
+def test_lift_refuses_a_tuple_that_is_no_base(monkeypatch):
     # case 7 acts faithfully on its 11 facets, but one facet's orbit is 11 points
     spec = case_spec(7).amalgam()
     table = coset_enumeration(amalgam_presentation(spec), [(0,), (1,), (2,)])
     cols = [table.column(x) for x in range(4)]
-    assert regular_from_action(cols, 660, points=1) is None
     assert regular_from_action(cols, 600) is None  # an orbit larger than `order`
     assert regular_from_action(cols, 660).order == 660
+    monkeypatch.setattr(permgroups, "_base_length", lambda d: 1)
+    assert regular_from_action(cols, 660) is None
 
 
 def test_short_orbit_falls_through_to_the_trivial_subgroup(monkeypatch):
     calls = _enumerated_subgroups(monkeypatch)
-    monkeypatch.setattr(amalgam, "regular_from_action", partial(regular_from_action, points=1))
+    monkeypatch.setattr(permgroups, "_base_length", lambda d: 1)
     spec = case_spec(7).amalgam()
     res = build_universal(spec)
     assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()]

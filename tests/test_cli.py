@@ -303,3 +303,22 @@ def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross")
     assert code == 1
     assert err.startswith("verification mismatch:") and "Traceback" not in err
+
+
+def test_lifted_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
+    from polyquot import amalgam
+    from polyquot.coset import CLOSED, CosetTable
+
+    # case 7's 11 facets lift to its group of order 660 = 11 * 60, which
+    # breaks case 2's relator (s1 s2)^3: s1 s2 has order 5 there
+    case7 = amalgam.case_spec(7).amalgam()
+    facets = amalgam.coset_enumeration(amalgam.amalgam_presentation(case7), [(0,), (1,), (2,)])
+    rows = facets.table.copy()
+
+    def case7_facets(pres, subgroup_words=(), max_cosets=None):
+        return CosetTable(pres, tuple(subgroup_words), rows, CLOSED, len(rows))
+
+    monkeypatch.setattr(amalgam, "coset_enumeration", case7_facets)
+    code, _, err = run(capsys, "build", "--facet", "tetrahedron", "--vfig", "hemi-icosahedron")
+    assert code == 1
+    assert err.startswith("verification mismatch:") and "Traceback" not in err
