@@ -3,12 +3,12 @@
 The group of the universal polytope with facet K and vertex figure L is
 presented by the string Coxeter relators of the combined type plus K's extra
 relators on (s_0,s_1,s_2) and L's extra relators on (s_1,s_2,s_3).  The
-group is finite for every desk-scale case here.  It is built from its action
-on the cosets of a rank-3 parabolic when that action certifies itself
-faithful (see `build_universal`), and from the coset table of the trivial
-subgroup otherwise.  The outcome is classified by comparing the parabolic
-subgroups against the prescribed facet and vertex-figure groups and checking
-the intersection condition.
+group is finite for every desk-scale case here.  It is built from its actions
+on the cosets of the facet and the vertex-figure parabolics side by side
+when they certify themselves faithful (see `build_universal`), and from the
+coset table of the trivial subgroup otherwise.  The outcome is classified by
+comparing the parabolic subgroups against the prescribed facet and
+vertex-figure groups and checking the intersection condition.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
 from .config import STRETCH_MAX_COSETS
-from .coset import (DEFAULT_MAX_COSETS, EXCEEDED, RelatorMismatch, broken_relator,
-                    coset_enumeration, perm_rep)
-from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
+from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, lift_from_parabolics, perm_rep
+from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup
 from .polytopes import Polytope, intersection_condition, polytope_from_group
 from .presentations import Presentation
 
@@ -98,27 +97,30 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     prescribed facet or vertex-figure group; `not-polytopal` when the
     parabolics are full but the intersection condition fails.
 
-    The group comes from its action on the cosets of a rank-3 parabolic H,
-    the one with the larger prescribed group F first, then the other (see
-    `permgroups.regular_from_action`).  The amalgam's relators contain F's,
-    so H is a quotient of F and the action's image P has at most d*|F|
-    elements, d the index; an orbit of d*|F| tuples of cosets then proves
-    that P is the whole group (the core of H is trivial), that H is F, and
-    that the tuple is a base.  When neither parabolic gives that certificate
-    the trivial subgroup is enumerated, and its table is the regular action.
-    Both routes number the elements in the same order on every Table 1 case
-    and every closed pair of catalog entries, which the tests check.
+    The group is lifted once from its actions on the cosets of both rank-3
+    parabolics, facet and vertex figure, side by side (see
+    `coset.lift_from_parabolics`).  The amalgam's relators contain those of
+    the prescribed groups F, so each parabolic is a quotient of its F and
+    the group has at most d*|F| elements, d the index; an orbit of the least
+    such bound proves the union action faithful, its tuple a base and that
+    parabolic uncollapsed.  The other parabolic's order is read off the
+    group, as is every order when the trivial subgroup is enumerated instead
+    because the certificate fails.  Both routes number the elements in the
+    same order on every Table 1 case and every closed pair of catalog
+    entries, which the tests check.
 
-    `max_cosets` bounds every enumeration, and also the lifted order: a
-    parabolic is lifted only when d*|F| is within it and within the order
-    limit, so its enumeration stops at the lesser of the two.  A lifted
-    group must satisfy every relator, else RelatorMismatch, as in
-    `perm_rep`.  `cosets_defined` is the sum over the enumerations run.
-    `exceeded-limit` when the trivial enumeration needs more than
+    `max_cosets` bounds every enumeration, and also the lifted order: the
+    group is lifted only when the least d*|F| is within it and within the
+    order limit, so each parabolic's enumeration stops at the lesser of the
+    two.  A lifted group must satisfy every relator, else RelatorMismatch,
+    as in `perm_rep`.  `cosets_defined` is the sum over the enumerations
+    run.  `exceeded-limit` when the trivial enumeration needs more than
     `max_cosets` cosets.
     """
     pres = amalgam_presentation(spec)
-    g, defined = _lifted_group(pres, spec, max_cosets)
+    g, defined = lift_from_parabolics(
+        pres, [((0, 1, 2), spec.facet.expected_order), ((1, 2, 3), spec.vfig.expected_order)],
+        max_cosets)
     if g is None:
         table = coset_enumeration(pres, max_cosets=max_cosets)
         defined += table.cosets_defined
@@ -147,29 +149,6 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         res.collapse_detail = "parabolic orders match but the intersection condition fails"
         return res
     return res
-
-
-def _lifted_group(pres: Presentation, spec: AmalgamSpec,
-                  max_cosets: int) -> tuple[MarkedGroup | None, int]:
-    """The group's regular action lifted from a parabolic coset action, or
-    None, with the cosets the enumerations defined (see `build_universal`)."""
-    bound = min(max_cosets, DEFAULT_ORDER_LIMIT)
-    defined = 0
-    candidates = sorted((((0, 1, 2), spec.facet), ((1, 2, 3), spec.vfig)),
-                        key=lambda c: -c[1].expected_order)
-    for idx, entry in candidates:
-        # a table of more than bound / |F| cosets cannot lift
-        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=bound)
-        defined += table.cosets_defined
-        order = table.n_cosets * entry.expected_order
-        if table.is_closed and order <= bound:
-            g = regular_from_action([table.column(x) for x in range(pres.rank)], order)
-            if g is not None:
-                rel = broken_relator(g.gens, pres.relators)
-                if rel is not None:
-                    raise RelatorMismatch(f"relator {rel} not satisfied by the lifted permutations")
-                return g, defined
-    return None, defined
 
 
 def _parabolic_name(g: MarkedGroup, idx) -> str:

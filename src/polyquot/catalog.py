@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coset import broken_relator, coset_enumeration, perm_rep
+from .coset import broken_relator, coset_enumeration, lift_from_parabolics, perm_rep
 from .permgroups import (DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, is_involution,
                          orbit_min_labels)
 from .polytopes import Polytope, polytope_from_group
@@ -83,14 +83,20 @@ _POLYTOPES: dict[str, Polytope] = {}
 
 
 def _realize_group(entry: CatalogEntry) -> MarkedGroup:
-    """The entry's group, by coset enumeration; an order the marked group
-    would refuse is refused before enumerating."""
+    """The entry's group, lifted from its actions on the cosets of <s0,s1>
+    and <s1,s2>, dihedral of orders at most 2p and 2q for an entry {p,q}
+    (see `lift_from_parabolics`), else from the trivial subgroup's coset
+    table; an order the marked group would refuse is refused before
+    enumerating."""
     if entry.name not in _GROUPS:
         if entry.expected_order > DEFAULT_ORDER_LIMIT:
             raise BoundExceeded(f"{entry.name}: group order {entry.expected_order} "
                                 f"exceeds enumeration limit {DEFAULT_ORDER_LIMIT}")
-        t = coset_enumeration(entry.presentation())
-        g = perm_rep(t)
+        pres = entry.presentation()
+        p, q = entry.symbol.entries
+        g, _ = lift_from_parabolics(pres, [((0, 1), 2 * p), ((1, 2), 2 * q)])
+        if g is None:
+            g = perm_rep(coset_enumeration(pres))
         if g.order != entry.expected_order:
             raise AssertionError(
                 f"{entry.name}: realized order {g.order} != expected {entry.expected_order}")

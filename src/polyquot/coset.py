@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .permgroups import DEFAULT_ORDER_LIMIT, MarkedGroup, regular_from_action
 from .presentations import Presentation, Word, normalize_relators
 
 DEFAULT_MAX_COSETS = 10**6
@@ -269,8 +270,6 @@ def perm_rep(table: CosetTable):
     which is what a MarkedGroup is: element j is the one sending coset 0 (the
     subgroup) to coset j.  A table over a subgroup that is not normal gives a
     non-regular action, which the MarkedGroup rejects when first used."""
-    from .permgroups import MarkedGroup
-
     if not table.is_closed:
         raise ValueError(f"coset table is not closed (status {table.status!r})")
     gens = [np.array(table.column(x), dtype=np.int32) for x in range(table.rank)]
@@ -279,6 +278,68 @@ def perm_rep(table: CosetTable):
     if rel is not None:
         raise RelatorMismatch(f"relator {rel} not satisfied by the induced permutations")
     return g
+
+
+def lift_from_parabolics(pres: Presentation, parabolics,
+                         max_cosets: int = DEFAULT_MAX_COSETS) -> tuple[MarkedGroup | None, int]:
+    """The group G of `pres` as its regular action, lifted from its actions on
+    the cosets of parabolic subgroups side by side, or None; with the cosets
+    the enumerations defined.
+
+    `parabolics` lists pairs (J, f): the parabolic H_J = <s_j : j in J> is a
+    quotient of a group F_J of order f whose relators are among those of
+    `pres`, so |H_J| <= f and |G| = d_J*|H_J| <= d_J*f, d_J the index.  Each
+    H_J is enumerated with at most min(max_cosets, DEFAULT_ORDER_LIMIT)
+    cosets, since a larger table cannot lift, and b is the least d_J*f over
+    the tables that close.  `regular_from_action` then runs on the disjoint
+    union of the closed tables' actions, whose image P is a quotient of G.
+    An orbit of exactly b tuples of points gives b <= |P| <= |G| <= b: the
+    union action is faithful, the tuple is a base, and the parabolic that
+    attains b is F_J, uncollapsed.  The points are numbered alternately from
+    the tables, so that the base tuple (0, ..., m-1) meets all of them; a
+    tuple drawn from one table only can be no base of a faithful union.
+    The elements are numbered breadth-first in G itself, whatever the
+    action, which the tests check against `perm_rep` of the trivial
+    subgroup's table.  A lifted group must satisfy every relator, else
+    RelatorMismatch, as in `perm_rep`: the certificate presumes true coset
+    tables.  None when no table closes, b is over the cap, or the orbit is
+    not b tuples.
+    """
+    cap = min(max_cosets, DEFAULT_ORDER_LIMIT)
+    tables, bound, defined = [], cap + 1, 0
+    for idx, f in parabolics:
+        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=cap)
+        defined += table.cosets_defined
+        if table.is_closed:
+            tables.append(table)
+            bound = min(bound, table.n_cosets * f)
+    if bound > cap:
+        return None, defined
+    g = regular_from_action(_interleaved_union(tables), bound)
+    if g is not None:
+        rel = broken_relator(g.gens, pres.relators)
+        if rel is not None:
+            raise RelatorMismatch(f"relator {rel} not satisfied by the lifted permutations")
+    return g, defined
+
+
+def _interleaved_union(tables) -> list[np.ndarray]:
+    """Generator permutations of the disjoint union of closed tables' actions.
+    Coset i of table t is the point at slot i*k + t, k tables, so the points
+    run alternately through the tables: coset 0 of each, then coset 1 of
+    each, and so on until the shorter tables run out."""
+    k = len(tables)
+    slot = np.concatenate([np.arange(t.n_cosets) * k + i for i, t in enumerate(tables)])
+    point = np.empty(len(slot), dtype=np.int32)
+    point[np.argsort(slot)] = np.arange(len(slot), dtype=np.int32)
+    offsets = np.cumsum([0] + [t.n_cosets for t in tables[:-1]])
+    perms = []
+    for x in range(tables[0].rank):
+        img = np.concatenate([t.column(x) + off for t, off in zip(tables, offsets)])
+        perm = np.empty_like(point)
+        perm[point] = point[img]
+        perms.append(perm)
+    return perms
 
 
 def broken_relator(gens, relators):

@@ -6,9 +6,13 @@ right-regular action: the generators are image arrays on range(n), n the group
 order, and a point j stands for the one element sending point 0 to j.  Every
 group the package builds reaches it that way: the closed coset table of the
 trivial subgroup is exactly such an action, and `regular_from_action` builds
-it from a smaller faithful action, as the orbit of a base tuple (Sims,
-Computational methods in the study of permutation groups, 1970; Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005, sections 4.4 and 5).
+it from a smaller faithful action, as the orbit of a base tuple: an orbit of
+a known bound on the group order certifies the bound exact and the tuple a
+base (Sims, Computational methods in the study of permutation groups, 1970;
+Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005, sections
+4.4 and 5).  Each tuple is one int64 key and one dict numbers the keys in
+order of first appearance, breadth-first from the base tuple, so the
+numbering is that of the group itself, not of the action.
 Permutations act on the right, so the product a*b applies a first, and
 element j's image array is the row of the multiplication table that
 right-multiplies by j: element i times element j sends 0 to
@@ -188,37 +192,36 @@ def regular_from_action(perms, order: int) -> "MarkedGroup | None":
     search from the base tuple, level by level, in order of first appearance
     with (member, generator) scanned in row-major order, and generator k sends
     member j to the number of member j's image under permutation k.  Each
-    tuple is one exact int64 key, the digits of its points in base d.
+    tuple is one exact int64 key, the digits of its points in base d, and one
+    dict from key to number dedupes the images.  Member j stands for the
+    element taking the base tuple to it, and the numbering depends only on
+    which words in the generators are equal in P, not on the action.
     """
     d = len(perms[0])
     m = _base_length(d)
     weights = d ** np.arange(m, dtype=np.int64)
-    frontier = np.arange(m, dtype=np.int64) @ weights[:, None]  # keys of one BFS level
-    ids = np.zeros(1, dtype=np.int32)
-    seen_keys, seen_ids = frontier, ids  # sorted by key
+    start = int(np.arange(m, dtype=np.int64) @ weights)
+    number = {start: 0}
+    frontier = [start]  # keys of one BFS level, the members numbered from n0
     gens = np.empty((len(perms), order), dtype=np.int32)
-    n = 1
-    while frontier.size:
-        tuples = frontier[:, None] // weights % d
+    n0 = 0
+    while frontier:
+        tuples = np.array(frontier, dtype=np.int64)[:, None] // weights % d
         img = np.stack([p[tuples] @ weights for p in perms], axis=1)  # member x generator
-        keys, first, inverse = np.unique(img.ravel(), return_index=True, return_inverse=True)
-        pos = np.minimum(np.searchsorted(seen_keys, keys), len(seen_keys) - 1)
-        old = seen_keys[pos] == keys
-        new = np.flatnonzero(~old)
-        new = new[np.argsort(first[new])]
-        if n + len(new) > order:
+        fresh = []
+        ids = []
+        for key in img.ravel().tolist():
+            j = number.get(key)
+            if j is None:
+                j = number[key] = len(number)
+                fresh.append(key)
+            ids.append(j)
+        if len(number) > order:
             return None
-        key_ids = np.empty(len(keys), dtype=np.int32)
-        key_ids[old] = seen_ids[pos[old]]
-        key_ids[new] = np.arange(n, n + len(new), dtype=np.int32)
-        gens[:, ids] = key_ids[inverse.ravel()].reshape(img.shape).T
-        frontier, ids = keys[new], key_ids[new]
-        n += len(new)
-        seen_keys = np.concatenate([seen_keys, frontier])
-        seen_ids = np.concatenate([seen_ids, ids])
-        by_key = np.argsort(seen_keys)
-        seen_keys, seen_ids = seen_keys[by_key], seen_ids[by_key]
-    if n < order:
+        gens[:, n0:n0 + len(frontier)] = np.array(ids, dtype=np.int32).reshape(img.shape).T
+        n0 += len(frontier)
+        frontier = fresh
+    if len(number) < order:
         return None
     return MarkedGroup(order, list(gens))
 

@@ -42,25 +42,37 @@ def string_condition(g: MarkedGroup) -> bool:
 
 
 def intersection_condition(g: MarkedGroup) -> bool:
-    """<s_i : i in I> ∩ <s_j : j in J> = <s_k : k in I∩J> for all I, J.
+    """<s_i : i in I> ∩ <s_j : j in J> = <s_k : k in I∩J> for all I, J, for a
+    string group g.
 
-    Each parabolic is a boolean mask over the element ids, read from the
-    generator permutations without the multiplication table; the right side
-    always lies in the left, so comparing sizes decides equality.  Evaluated
-    once per group; the result is kept on the group."""
+    McMullen & Schulte (Abstract Regular Polytopes, 2002, Prop. 2E16): a
+    string group generated by involutions is a C-group when its two maximal
+    string parabolics <s_0..s_{r-2}> and <s_1..s_{r-1}> are C-groups and
+    their intersection is <s_1..s_{r-2}>.  The converse is a case of the
+    condition itself, so by recursion over contiguous ranges g is a C-group
+    exactly when P(lo..hi-2) ∩ P(lo+1..hi-1) = P(lo+1..hi-2) for every range
+    lo..hi-1 of at least two generators: r(r-1)/2 intersections at rank r.
+    The theorem needs the string condition, that s_i and s_j commute when
+    |i - j| >= 2: a universal's group satisfies the commuting relators of its
+    presentation, and `require_polytope_group` checks `string_condition`
+    first.  Each parabolic is a boolean mask over the element ids, read from
+    the generator permutations without the multiplication table; the right
+    side always lies in the left, so comparing sizes decides equality.
+    Evaluated once per group; the result is kept on the group."""
     if g._intersection is None:
-        from itertools import combinations, chain
+        masks = {}
 
-        subsets = list(chain.from_iterable(
-            combinations(range(g.rank), r) for r in range(g.rank + 1)))
-        para = {}
-        for s in subsets:
-            para[s] = np.zeros(g.order, dtype=bool)
-            para[s][g.parabolic(s).elem_ids] = True
+        def para(idx: tuple[int, ...]) -> np.ndarray:
+            if idx not in masks:
+                masks[idx] = np.zeros(g.order, dtype=bool)
+                masks[idx][g.parabolic(idx).elem_ids] = True
+            return masks[idx]
+
+        ranges = [tuple(range(lo, lo + n)) for n in range(2, g.rank + 1)
+                  for lo in range(g.rank - n + 1)]
         g._intersection = all(
-            np.count_nonzero(para[a] & para[b])
-            == np.count_nonzero(para[tuple(sorted(set(a) & set(b)))])
-            for a in subsets for b in subsets)
+            np.count_nonzero(para(gens[:-1]) & para(gens[1:])) == np.count_nonzero(para(gens[1:-1]))
+            for gens in ranges)
     return g._intersection
 
 

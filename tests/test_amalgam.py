@@ -4,13 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polyquot import amalgam, permgroups
+from polyquot import amalgam, coset, permgroups
 from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, case_spec,
                               classify_table1, twisted_over)
 from polyquot.catalog import entry_by_name, petrie_relator, rank3_catalog
-from polyquot.coset import EXCEEDED, coset_enumeration, perm_rep
+from polyquot.coset import (EXCEEDED, _interleaved_union, coset_enumeration,
+                            lift_from_parabolics, perm_rep)
 from polyquot.permgroups import DEFAULT_ORDER_LIMIT, regular_from_action
 from polyquot.polytopes import are_isomorphic, dual, polytope_from_group
 from polyquot.presentations import power_word
@@ -229,7 +230,7 @@ def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the group lifted from a parabolic coset action
+# the group lifted from both parabolics' coset actions side by side
 
 
 def _trivial_subgroup_group(spec):
@@ -243,14 +244,16 @@ def _same_gens(g, h):
 
 
 def _enumerated_subgroups(monkeypatch):
-    """Record the subgroup words of every enumeration build_universal runs."""
+    """Record the subgroup words of every enumeration build_universal runs:
+    the parabolics' in `lift_from_parabolics`, the trivial subgroup's here."""
     calls = []
-    real = amalgam.coset_enumeration
+    real = coset.coset_enumeration
 
     def spy(pres, subgroup_words=(), **kwargs):
         calls.append(tuple(subgroup_words))
         return real(pres, subgroup_words, **kwargs)
 
+    monkeypatch.setattr(coset, "coset_enumeration", spy)
     monkeypatch.setattr(amalgam, "coset_enumeration", spy)
     return calls
 
@@ -276,7 +279,7 @@ def test_built_group_is_the_trivial_subgroup_table_on_catalog_pairs(monkeypatch)
             calls.clear()
             assert _same_gens(build_universal(spec).group, perm_rep(table)), spec.name
             lifted += () not in calls
-    assert (closed, lifted) == (84, 12)
+    assert (closed, lifted) == (84, 53)
 
 
 def test_lift_refuses_a_parabolic_with_a_core():
@@ -309,24 +312,61 @@ def test_short_orbit_falls_through_to_the_trivial_subgroup(monkeypatch):
     assert _same_gens(res.group, _trivial_subgroup_group(spec))
 
 
-@pytest.mark.parametrize("case", [6, 7, 8, 13, 19, 21])
+LIFTED_CASES = [1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 21]
+TRIVIAL_CASES = [2, 3, 4, 5, 16]
+
+
+@pytest.mark.parametrize("case", LIFTED_CASES)
 def test_lifted_cases_enumerate_no_trivial_subgroup(monkeypatch, case):
     calls = _enumerated_subgroups(monkeypatch)
     res = build_universal(case_spec(case).amalgam())
     assert () not in calls and res.group is not None
 
 
-def test_case11_still_enumerates_the_trivial_subgroup(monkeypatch):
-    # both parabolics of case 11 have a nontrivial core
+@pytest.mark.parametrize("case", TRIVIAL_CASES)
+def test_unlifted_cases_enumerate_the_trivial_subgroup(monkeypatch, case):
+    calls = _enumerated_subgroups(monkeypatch)
+    res = build_universal(case_spec(case).amalgam())
+    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()] and res.group is not None
+
+
+def test_case11_lifts_from_both_parabolics(monkeypatch):
+    # each parabolic of case 11 alone has a nontrivial core, 4 cosets and a
+    # bound of 4 * 24 = 96; side by side the two actions are faithful
     calls = _enumerated_subgroups(monkeypatch)
     res = build_universal(case_spec(11).amalgam())
-    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()]
-    assert res.order == 96 and res.cosets_defined == 4 + 4 + 96
+    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,))]
+    assert res.order == 96 and res.cosets_defined == 4 + 4
+
+
+def test_union_orbit_one_short_of_its_bound_is_refused():
+    # case 11's union action on 4 + 4 cosets has an orbit of 96 tuples
+    pres = amalgam_presentation(case_spec(11).amalgam())
+    tables = [coset_enumeration(pres, [(j,) for j in idx]) for idx in ((0, 1, 2), (1, 2, 3))]
+    union = _interleaved_union(tables)
+    assert regular_from_action(union, 96).order == 96
+    assert regular_from_action(union, 97) is None
+    # the same through the lift: a claimed |F| of 25 makes the bound 4 * 25 = 100
+    assert lift_from_parabolics(pres, [((0, 1, 2), 25), ((1, 2, 3), 25)]) == (None, 8)
+
+
+def test_interleaved_union_alternates_the_tables():
+    pres = amalgam_presentation(case_spec(7).amalgam())
+    facets = coset_enumeration(pres, [(0,), (1,), (2,)])  # 11 cosets
+    trivial = coset_enumeration(pres, [(0,), (1,), (2,), (3,)])  # 1 coset
+    union = _interleaved_union([facets, trivial])
+    # facet coset 0 is point 0, the one coset of the whole group point 1,
+    # and facet coset i >= 1 point i + 1
+    assert all(s[1] == 1 for s in union)
+    for x, s in enumerate(union):
+        assert np.array_equal(s[[0] + list(range(2, 12))],
+                              [c if c == 0 else c + 1 for c in facets.column(x)])
 
 
 def test_budget_bounds_the_lifted_order():
-    # case 7's 660 elements are lifted from 11 cosets only when the budget allows 660
+    # case 7's 660 elements are lifted from 11 + 11 cosets only when the
+    # budget allows 660
     spec = case_spec(7).amalgam()
-    assert build_universal(spec, max_cosets=660).cosets_defined == 11
+    assert build_universal(spec, max_cosets=660).cosets_defined == 11 + 11
     res = build_universal(spec, max_cosets=659)
     assert res.outcome == EXCEEDED and res.group is None

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from polyquot import catalog
 from polyquot.catalog import (SchlafliSymbol, build_ditope, central_quotient,
                               central_quotient_group, coxeter_presentation,
                               dihedron, ditope_group, entry_by_name, hosohedron,
                               identify, rank3_catalog, with_petrie)
-from polyquot.coset import broken_relator, coset_enumeration, perm_rep
+from polyquot.coset import broken_relator, coset_enumeration, lift_from_parabolics, perm_rep
 from polyquot.permgroups import is_involution, orbit_min_labels
 from polyquot.polytopes import (Polytope, are_isomorphic, dual, polytope_from_group,
                                 section_profile)
@@ -13,6 +14,46 @@ from polyquot.presentations import power_word
 from polyquot.quotients import semisparse_classes
 
 from oracles import catalog_name_by_certificate
+
+
+def _lift_entries():
+    """Every catalog entry, plus the dihedra and hosohedra up to p = 59: a
+    tuple of <s0,s1> cosets alone is no base of hosohedron(p) from p = 15."""
+    entries = {e.name: e for e in rank3_catalog(degenerate=True)}
+    entries.update((f(p).name, f(p)) for f in (dihedron, hosohedron) for p in range(2, 60))
+    return list(entries.values())
+
+
+@pytest.mark.parametrize("entry", _lift_entries(), ids=lambda e: e.name)
+def test_lifted_group_is_the_trivial_subgroup_table(entry):
+    pres = entry.presentation()
+    p, q = entry.symbol.entries
+    g, _ = lift_from_parabolics(pres, [((0, 1), 2 * p), ((1, 2), 2 * q)])
+    if entry.symbol.entries == (2, 2):
+        # s1 lies in both parabolics and fixes every coset: the union action
+        # is not faithful
+        assert g is None
+    else:
+        h = perm_rep(coset_enumeration(pres))
+        assert g.order == entry.expected_order
+        assert all(np.array_equal(a, b) for a, b in zip(g.gens, h.gens))
+
+
+@pytest.mark.parametrize("entry, trivial", [(hosohedron(20), False), (dihedron(2), True)],
+                         ids=["hosohedron(20)", "dihedron(2)"])
+def test_realized_group_enumerates_the_trivial_subgroup_only_when_the_lift_fails(
+        monkeypatch, entry, trivial):
+    calls = []
+    real = catalog.coset_enumeration
+
+    def spy(pres, subgroup_words=(), **kwargs):
+        calls.append(tuple(subgroup_words))
+        return real(pres, subgroup_words, **kwargs)
+
+    monkeypatch.setattr(catalog, "coset_enumeration", spy)
+    monkeypatch.setattr(catalog, "_GROUPS", {})
+    assert entry.group().order == entry.expected_order
+    assert calls == ([()] if trivial else [])
 
 
 def test_symbol_validation():

@@ -94,8 +94,8 @@ def test_build_exceeded_exit_code(capsys, monkeypatch):
 
 
 def test_budget_bounds_the_lifted_order_not_the_trivial_enumeration(capsys):
-    # case 6's 660 elements come from 11 vertex-figure cosets; the trivial
-    # subgroup would need 2950 cosets
+    # case 6's 660 elements come from 11 facet and 11 vertex-figure cosets;
+    # the trivial subgroup would need 2950 cosets
     code, out, _ = run(capsys, "build", "--facet", "icosahedron", "--vfig", "hemidodecahedron",
                        "--max-cosets", "1000")
     assert code == 0 and ": collapsed" in out and "group order 660" in out
@@ -291,7 +291,7 @@ def test_export_universal_json(capsys):
 
 
 def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
-    from polyquot import amalgam
+    from polyquot import amalgam, coset
     from polyquot.coset import CLOSED, CosetTable
 
     def two_swapped_cosets(pres, subgroup_words=(), max_cosets=None):
@@ -299,6 +299,8 @@ def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
         rows = np.array([[1] * pres.rank, [0] * pres.rank], dtype=np.int32)
         return CosetTable(pres, (), rows, CLOSED, 2)
 
+    # the parabolics' two swapped cosets lift nothing, so the trivial subgroup's do
+    monkeypatch.setattr(coset, "coset_enumeration", two_swapped_cosets)
     monkeypatch.setattr(amalgam, "coset_enumeration", two_swapped_cosets)
     code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross")
     assert code == 1
@@ -306,19 +308,20 @@ def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
 
 
 def test_lifted_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
-    from polyquot import amalgam
+    from polyquot import amalgam, coset
     from polyquot.coset import CLOSED, CosetTable
 
-    # case 7's 11 facets lift to its group of order 660 = 11 * 60, which
-    # breaks case 2's relator (s1 s2)^3: s1 s2 has order 5 there
+    # case 7's 11 facets, given for both parabolics of {15,2,15} (prescribed
+    # groups of order 60 each), lift to case 7's group of order 660 = 11 * 60,
+    # which breaks the relator (s1 s2)^2: s1 s2 has order 5 there
     case7 = amalgam.case_spec(7).amalgam()
-    facets = amalgam.coset_enumeration(amalgam.amalgam_presentation(case7), [(0,), (1,), (2,)])
+    facets = coset.coset_enumeration(amalgam.amalgam_presentation(case7), [(0,), (1,), (2,)])
     rows = facets.table.copy()
 
     def case7_facets(pres, subgroup_words=(), max_cosets=None):
         return CosetTable(pres, tuple(subgroup_words), rows, CLOSED, len(rows))
 
-    monkeypatch.setattr(amalgam, "coset_enumeration", case7_facets)
-    code, _, err = run(capsys, "build", "--facet", "tetrahedron", "--vfig", "hemi-icosahedron")
+    monkeypatch.setattr(coset, "coset_enumeration", case7_facets)
+    code, _, err = run(capsys, "build", "--facet", "dihedron(15)", "--vfig", "hosohedron(15)")
     assert code == 1
     assert err.startswith("verification mismatch:") and "Traceback" not in err

@@ -4,10 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from polyquot.amalgam import build_universal, case_spec
-from polyquot.catalog import dihedron, entry_by_name, hosohedron
+from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, dihedron, entry_by_name,
+                              hosohedron)
+from polyquot.coset import coset_enumeration, perm_rep
 from polyquot.permgroups import MarkedGroup
 from polyquot.polytopes import (Polytope, are_isomorphic, dual, flag_graph_from_group,
                                 flag_graph_dot, hasse_dot, intersection_condition,
@@ -155,6 +158,38 @@ def test_intersection_condition_catalog():
         assert intersection_condition(entry_by_name(name).group())
 
 
+def _coxeter_plus(entries, extra, max_cosets=2000):
+    """The closed coset table of a string Coxeter group with one extra relator."""
+    pres = coxeter_presentation(SchlafliSymbol(entries)).with_relators([extra])
+    return coset_enumeration(pres, max_cosets=max_cosets)
+
+
+@pytest.mark.parametrize("entries, extra, order", [
+    ((3, 3), (0, 1, 0, 1, 2, 1), 6),  # s2 = s0: <s0,s1> ∩ <s1,s2> is all six elements
+    ((4, 3), (0, 1, 0, 2), 4),        # s2 = s0 s1 s0
+])
+def test_intersection_condition_fails_on_non_c_groups(entries, extra, order):
+    g = perm_rep(_coxeter_plus(entries, extra))
+    assert g.order == order
+    assert not intersection_condition(g)
+    assert not oracles.intersection_condition(g)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_intersection_condition_against_the_oracle(data):
+    """Prop. 2E16's recursion over contiguous ranges against every pair of
+    parabolics, on string groups: Coxeter groups of rank 3 or 4 with one
+    extra relator."""
+    rank = data.draw(st.integers(3, 4))
+    entries = tuple(data.draw(st.integers(2, 5)) for _ in range(rank - 1))
+    extra = tuple(data.draw(st.lists(st.integers(0, rank - 1), min_size=3, max_size=7)))
+    table = _coxeter_plus(entries, extra)
+    assume(table.is_closed and table.n_cosets <= 800)
+    g = perm_rep(table)
+    assert intersection_condition(g) == oracles.intersection_condition(g)
+
+
 def test_reordered_generators_fail_string_check():
     g = entry_by_name("cube").group()
     bad = MarkedGroup(g.degree, [g.gens[1], g.gens[0], g.gens[2]])
@@ -300,7 +335,12 @@ def test_intersection_condition_evaluated_once_per_group(monkeypatch):
     res = build_universal(case_spec(11).amalgam())
     during_build = len(calls)
     polytope_from_group(res.group)
-    assert during_build >= 2 ** res.group.rank
+    # the facet and vertex-figure parabolics, then one per contiguous range
+    # of at most 3 of the 4 generators: (), 4 singles, 3 pairs, 2 triples
+    assert calls[:2] == [(0, 1, 2), (1, 2, 3)]
+    assert sorted(calls[2:]) == sorted({tuple(range(lo, lo + n))
+                                        for n in range(4) for lo in range(5 - n)})
+    assert during_build == 2 + 1 + 4 + 3 + 2
     assert len(calls) == during_build
 
 
