@@ -279,7 +279,7 @@ def test_built_group_is_the_trivial_subgroup_table_on_catalog_pairs(monkeypatch)
             calls.clear()
             assert _same_gens(build_universal(spec).group, perm_rep(table)), spec.name
             lifted += () not in calls
-    assert (closed, lifted) == (84, 53)
+    assert (closed, lifted) == (84, 52)
 
 
 def test_lift_refuses_a_parabolic_with_a_core():
@@ -312,7 +312,7 @@ def test_short_orbit_falls_through_to_the_trivial_subgroup(monkeypatch):
     assert _same_gens(res.group, _trivial_subgroup_group(spec))
 
 
-LIFTED_CASES = [1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 21]
+LIFTED_CASES = [1, 6, 7, 8, 9, 10, 12, 13, 14, 15, 17, 18, 19, 21]
 TRIVIAL_CASES = [2, 3, 4, 5, 16]
 
 
@@ -330,13 +330,25 @@ def test_unlifted_cases_enumerate_the_trivial_subgroup(monkeypatch, case):
     assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()] and res.group is not None
 
 
-def test_case11_lifts_from_both_parabolics(monkeypatch):
+def test_case11_still_enumerates_the_trivial_subgroup(monkeypatch):
+    # case 11 is in TRIVIAL_ROUTE: its build enumerates only the trivial
+    # subgroup, though its parabolics would lift it
+    calls = _enumerated_subgroups(monkeypatch)
+    spec = case_spec(11).amalgam()
+    assert spec.name in amalgam.TRIVIAL_ROUTE
+    res = build_universal(spec)
+    assert calls == [()]
+    assert res.order == 96 and res.cosets_defined == 96
+
+
+def test_case11_lifts_from_both_parabolics():
     # each parabolic of case 11 alone has a nontrivial core, 4 cosets and a
     # bound of 4 * 24 = 96; side by side the two actions are faithful
-    calls = _enumerated_subgroups(monkeypatch)
-    res = build_universal(case_spec(11).amalgam())
-    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,))]
-    assert res.order == 96 and res.cosets_defined == 4 + 4
+    spec = case_spec(11).amalgam()
+    pres = amalgam_presentation(spec)
+    g, defined = lift_from_parabolics(pres, [((0, 1, 2), 24), ((1, 2, 3), 24)])
+    assert g.order == 96 and defined == 4 + 4
+    assert _same_gens(g, _trivial_subgroup_group(spec))
 
 
 def test_union_orbit_one_short_of_its_bound_is_refused():
