@@ -29,7 +29,11 @@ coincidence.  Emptying the stack after a definition reaches the least table
 closed under these deductions and coincidences, whatever order the scans come
 in, and a class of merged cosets keeps its least member; so the coset
 numbering, the definition order and `cosets_defined` are those of a scan at
-both ends.
+both ends.  A coincidence pushes a deduction for each edge it moves, at the
+edge's live end mu: a deduction at a coset merged away is skipped when
+popped, so one pushed at the dead end would leave the moved edge unscanned.
+An edge a coincidence keeps in place needs no new scan; the merge it causes
+instead moves the other coset's edges, each with its deduction.
 """
 
 from __future__ import annotations
@@ -133,8 +137,6 @@ class _Enumerator:
                 if delta == -1:
                     continue
                 col[delta] = -1
-                self.ded_coset.append(delta)
-                self.ded_gen.append(x)
                 mu, nu = self.rep(gamma), self.rep(delta)
                 if col[mu] != -1:
                     self._merge(nu, col[mu], queue)
@@ -143,6 +145,8 @@ class _Enumerator:
                 else:
                     col[mu] = nu
                     col[nu] = mu
+                    self.ded_coset.append(mu)
+                    self.ded_gen.append(x)
 
     # -- scanning ---------------------------------------------------------
 

@@ -88,6 +88,7 @@ import numpy as np
 
 DEFAULT_ORDER_LIMIT = 20000
 DEFAULT_SUBGROUP_BOUND = 10000
+_GATHER_ENTRIES = 2**18  # table entries composed per gather in MarkedGroup._build_tables
 
 
 class BoundExceeded(Exception):
@@ -263,6 +264,7 @@ class MarkedGroup:
         self._inv = None
         self._elem_orders = None
         self._intersection = None  # kept by polytopes.intersection_condition
+        self._parabolic_ids = {}   # kept by parabolic
         self._parabolics = {}      # kept by quotients._parabolic
 
     @property
@@ -307,10 +309,15 @@ class MarkedGroup:
     def parabolic(self, gen_indices) -> "Subgroup":
         """Subgroup generated by a subset of the distinguished generators: the
         orbit of point 0 under them, since element x lies in it exactly when
-        point x does."""
-        self._check_regular()
-        perms = [self.gens[i] for i in gen_indices]
-        return Subgroup(self, _orbit_of_zero(perms, self.degree), tuple(int(s[0]) for s in perms))
+        point x does.  Computed once per index tuple; the ids are read-only."""
+        js = tuple(int(i) for i in gen_indices)
+        perms = [self.gens[i] for i in js]
+        if js not in self._parabolic_ids:
+            self._check_regular()
+            ids = _orbit_of_zero(perms, self.degree)
+            ids.flags.writeable = False
+            self._parabolic_ids[js] = ids  # not the Subgroup: it would hold a cycle back to self
+        return Subgroup(self, self._parabolic_ids[js], tuple(int(s[0]) for s in perms))
 
     def parabolic_group(self, gen_indices) -> "MarkedGroup":
         """The parabolic subgroup acting on itself: its point k, and so its
@@ -323,7 +330,14 @@ class MarkedGroup:
     # -- the table, built on first use ----------------------------------------
 
     def _build_tables(self):
-        """Compose row j = s_k[row i] along the breadth-first tree."""
+        """Compose row j = s_k[row i] along the breadth-first tree.
+
+        A level's rows are gathered with np.take, faster than fancy indexing
+        by the int16 rows, but np.take first casts its whole index block to
+        intp: one wide level at once would hold an intp copy of its parent
+        rows, four times their int16 size, and raise the peak memory.  The
+        rows are therefore composed in chunks of at most _GATHER_ENTRIES
+        table entries (2 MB of intp indices)."""
         if self._rmul is not None:
             return
         self._check_regular()
@@ -332,8 +346,10 @@ class MarkedGroup:
         gens = [s.astype(dtype) for s in self.gens]
         R = np.empty((n, n), dtype=dtype)
         R[0] = np.arange(n)
+        step = max(1, _GATHER_ENTRIES // n)
         for k, parent, child in _bfs_tree(self.gens, n):
-            R[child] = gens[k][R[parent]]
+            for a in range(0, parent.size, step):
+                R[child[a:a + step]] = np.take(gens[k], R[parent[a:a + step]])
         self._rmul = R
         self._inv = np.argmin(R, axis=1).astype(dtype)
 

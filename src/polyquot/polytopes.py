@@ -56,8 +56,10 @@ def intersection_condition(g: MarkedGroup) -> bool:
     |i - j| >= 2: a universal's group satisfies the commuting relators of its
     presentation, and `require_polytope_group` checks `string_condition`
     first.  Each parabolic is a boolean mask over the element ids, read from
-    the generator permutations without the multiplication table; the right
-    side always lies in the left, so comparing sizes decides equality.
+    the generator permutations without the multiplication table (and kept by
+    `MarkedGroup.parabolic`, so the facet and vertex-figure parabolics that
+    `build_universal` reads are not recomputed); the right side always lies
+    in the left, so comparing sizes decides equality.
     Evaluated once per group; the result is kept on the group."""
     if g._intersection is None:
         masks = {}

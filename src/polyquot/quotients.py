@@ -15,12 +15,16 @@ element of its double coset.
 
 Ground truth for semisparseness is the direct definition on that poset: test
 the polytopality axioms and require its maximal chains to biject with the
-orbits.  The candidate search is a subgroup-lattice search restricted to the
-elements with no conjugate in any coset s_i*G_i.  A semisparse N has no such
-element: if w^-1*n*w = s_i*h with n in N and h in G_i, the flags N*w and
-N*w*s_i have the same i-face N*w*G_i, and, s_i lying in every other G_j, the
-same face at every rank, so the i-adjacency has a fixed point or two orbits
-induce one chain.  The condition is elementwise and closed under
+orbits.  It runs once per nontrivial candidate class.  The trivial class
+needs none: P/1 is P, and a string C-group is the group of a regular
+polytope whose flags are its elements (McMullen & Schulte, Abstract Regular
+Polytopes, 2002, Thm 2E11), which `require_polytope_group` certifies before
+the search.  The candidate search is a subgroup-lattice search restricted
+to the elements with no conjugate in any coset s_i*G_i.  A semisparse N has
+no such element: if w^-1*n*w = s_i*h with n in N and h in G_i, the flags
+N*w and N*w*s_i have the same i-face N*w*G_i, and, s_i lying in every other
+G_j, the same face at every rank, so the i-adjacency has a fixed point or
+two orbits induce one chain.  The condition is elementwise and closed under
 conjugation, so the restriction loses nothing (see
 `semisparse_allowed_mask`).  The product-set criterion (valid when the
 vertex figure has no proper quotients) is implemented as a fast path and
@@ -198,15 +202,23 @@ def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
 
 def _semisparse_candidates(g: MarkedGroup, order_bound: int):
     """Each semisparse class with its quotient polytope and the least element
-    of each flag orbit; the ground truth runs once per class of the masked
-    lattice.  The string C-group conditions, which the mask's proof needs,
-    are checked before the table is built."""
+    of each flag orbit.  The string C-group conditions, which the mask's
+    proof needs, are checked before the table is built.
+
+    The trivial class is accepted on that certificate: a string C-group is
+    the group of the regular polytope whose flags are its elements, the
+    i-adjacency being right multiplication by s_i (McMullen & Schulte,
+    Abstract Regular Polytopes, 2002, Thm 2E11), and that is exactly the
+    candidate of N = 1.  The mask allows the identity, as
+    `enumerate_subgroups_within` requires, only when no s_i lies in G_i, so
+    no adjacency has a fixed point.  The ground truth runs once per
+    nontrivial class of the masked lattice."""
     require_polytope_group(g)
     require_subgroup_bound(g, order_bound)
     allowed = semisparse_allowed_mask(g)
     for cls in enumerate_subgroups_within(g, allowed, order_bound):
         q, least = quotient_candidate(g, cls.rep.elem_ids)
-        if _defect(q) is None:
+        if cls.order == 1 or _defect(q) is None:
             yield cls, q, least
 
 

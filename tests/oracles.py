@@ -3,8 +3,9 @@
 Everything here works on plain tuples with hand-rolled closure loops, kept
 deliberately separate from the library's table-based algorithms so the two
 routes can disagree.  The exceptions are earlier library code kept as
-references: the list-of-lists coset enumerator and the quotient search's
-weaker element mask, which reads a group's multiplication table.
+references: the list-of-lists coset enumerator, the quotient search's
+weaker element mask, which reads a group's multiplication table, and the
+table's unchunked composition.
 """
 
 from array import array
@@ -14,6 +15,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from polyquot.permgroups import _bfs_tree
 from polyquot.presentations import Presentation, Word, normalize_relators
 
 
@@ -378,6 +380,8 @@ class ReferenceEnumerator:
     scanned at both of its ends.  Slow,
     but it is the ground truth that the flat-column enumerator with one scan
     per deduction must match table for table, coset number for coset number.
+    A coincidence pushes a deduction for every edge it touches, at the live
+    end, where the library pushes one only for each edge it moves.
     `run` returns (status, rows, cosets_defined); after an overflow `table`
     and `p` hold the prefix."""
 
@@ -426,8 +430,8 @@ class ReferenceEnumerator:
                 if delta == -1:
                     continue
                 table[delta][x] = -1
-                self.deductions.append((delta, x))
                 mu, nu = self.rep(gamma), self.rep(delta)
+                self.deductions.append((nu, x))  # at a live coset: a dead one is skipped
                 if table[mu][x] != -1:
                     self._merge(nu, table[mu][x], queue)
                 elif table[nu][x] != -1:
@@ -544,3 +548,18 @@ def generator_pair_mask(g):
     ok = ~bad
     ok[0] = True
     return ok
+
+
+def unchunked_table(g):
+    """A MarkedGroup's multiplication table composed as the library did
+    before it gathered in bounded chunks, kept as a reference: row 0 is the
+    identity and row j = s_k[row i] along the breadth-first tree, one
+    fancy-indexed gather per level and generator."""
+    n = g.degree
+    dtype = np.int16 if n < 2**15 else np.int32
+    gens = [s.astype(dtype) for s in g.gens]
+    R = np.empty((n, n), dtype=dtype)
+    R[0] = np.arange(n)
+    for k, parent, child in _bfs_tree(g.gens, n):
+        R[child] = gens[k][R[parent]]
+    return R

@@ -141,6 +141,18 @@ def test_perm_rep_rejects_a_table_that_breaks_a_relator():
         perm_rep(table)
 
 
+@pytest.mark.parametrize("entries, extra, order", [
+    ((3, 5), (2, 2, 0, 0, 1), 1),        # s1 = 1, so s0 = s2 = 1 too
+    ((4, 3, 5), (2, 3, 3, 1, 1), 2),     # s2 = 1, so s1 = s3 = 1: <s0>
+])
+def test_coincidence_at_a_dead_coset_keeps_its_deduction(entries, extra, order):
+    """A coincidence that moves an edge of a coset already merged away (a
+    fixed point of the dead coset, say) must still scan the moved edge: these
+    enumerations once closed with tables that break (s1 s2)^5 or (s2 s3)^5."""
+    pres = cox(*entries).with_relators([extra])
+    assert perm_rep(_assert_matches_reference(pres)).order == order
+
+
 def _assert_matches_reference(pres, words=()):
     table = coset_enumeration(pres, subgroup_words=words)
     status, rows, defined = ReferenceEnumerator(pres, coset.DEFAULT_MAX_COSETS).run(words)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyquot import permgroups
 from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, ditope_group, entry_by_name,
                               petrie_relator)
 from polyquot.coset import coset_enumeration, perm_rep
@@ -213,6 +214,24 @@ def test_tables_against_brute_force_products(ws, name):
         assert g.element_id(p) == index.get(tuple(int(x) for x in p), -1)
     with pytest.raises(ValueError):
         g.element_id(np.arange(g.degree + 1))
+
+
+@pytest.mark.parametrize("case", [13, 21])
+def test_table_with_levels_wider_than_a_gather_chunk(ws, case):
+    """A fresh table of a group whose breadth-first levels span several
+    gather chunks: its defining identities, and the unchunked composition."""
+    src = ws.universal(case).group
+    g = MarkedGroup(src.degree, src.gens)
+    n = g.degree
+    step = max(1, permgroups._GATHER_ENTRIES // n)
+    assert max(parent.size for _, parent, _ in permgroups._bfs_tree(g.gens, n)) > step
+    R, inv = g.rmul, g.inv_ids
+    assert np.array_equal(R[0], np.arange(n))
+    for s in g.gens:
+        assert np.array_equal(R[s], s[R])  # row s_k(j) is s_k[row j]
+    assert np.array_equal(np.sort(R, axis=1), np.broadcast_to(np.arange(n), (n, n)))
+    assert (R[np.arange(n), inv] == 0).all()
+    assert np.array_equal(R, oracles.unchunked_table(g))
 
 
 def test_enumerate_subgroups_c2():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from polyquot import permgroups
 from polyquot.amalgam import build_universal, case_spec
 from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, dihedron, entry_by_name,
                               hosohedron)
@@ -324,24 +325,31 @@ def test_facet_vertex_count_identities(ws):
 
 
 def test_intersection_condition_evaluated_once_per_group(monkeypatch):
-    calls = []
-    parabolic = MarkedGroup.parabolic
+    calls, orbits = [], []
+    parabolic, orbit_of_zero = MarkedGroup.parabolic, permgroups._orbit_of_zero
 
     def counting(self, gen_indices):
         calls.append(tuple(gen_indices))
         return parabolic(self, gen_indices)
 
+    def counting_orbit(perms, n):
+        orbits.append(len(perms))
+        return orbit_of_zero(perms, n)
+
     monkeypatch.setattr(MarkedGroup, "parabolic", counting)
+    monkeypatch.setattr(permgroups, "_orbit_of_zero", counting_orbit)
     res = build_universal(case_spec(11).amalgam())
-    during_build = len(calls)
+    during_build = len(calls), len(orbits)
     polytope_from_group(res.group)
     # the facet and vertex-figure parabolics, then one per contiguous range
     # of at most 3 of the 4 generators: (), 4 singles, 3 pairs, 2 triples
+    ranges = {tuple(range(lo, lo + n)) for n in range(4) for lo in range(5 - n)}
     assert calls[:2] == [(0, 1, 2), (1, 2, 3)]
-    assert sorted(calls[2:]) == sorted({tuple(range(lo, lo + n))
-                                        for n in range(4) for lo in range(5 - n)})
-    assert during_build == 2 + 1 + 4 + 3 + 2
-    assert len(calls) == during_build
+    assert sorted(calls[2:]) == sorted(ranges)
+    # the group keeps each parabolic: the two maximal ones are computed once
+    assert sorted(orbits) == sorted(len(r) for r in ranges)
+    assert during_build == (2 + 10, 10)
+    assert (len(calls), len(orbits)) == during_build
 
 
 # -- certificates against the all-starts oracle ---------------------------------

@@ -270,7 +270,8 @@ def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
     from polyquot import quotients as pq
 
     enumerate_within, quotient_candidate = pq.enumerate_subgroups_within, pq.quotient_candidate
-    calls = {"classes": 0, "candidates": 0}
+    defect = pq._defect
+    calls = {"classes": 0, "candidates": 0, "defects": 0}
 
     def counting_lattice(*args, **kwargs):
         classes = enumerate_within(*args, **kwargs)
@@ -281,12 +282,37 @@ def test_ground_truth_runs_once_per_lattice_class(ws, monkeypatch):
         calls["candidates"] += 1
         return quotient_candidate(*args, **kwargs)
 
+    def counting_defect(*args, **kwargs):
+        calls["defects"] += 1
+        return defect(*args, **kwargs)
+
     g = ws.universal(13).group
     ws.report(13)  # the parabolics' class tables, so that only g's lattice is counted
     monkeypatch.setattr(pq, "enumerate_subgroups_within", counting_lattice)
     monkeypatch.setattr(pq, "quotient_candidate", counting_candidate)
+    monkeypatch.setattr(pq, "_defect", counting_defect)
     assert pq.classify_quotients(g, "case13").total_quotients == 70
-    assert calls == {"classes": 77, "candidates": 77}  # the ground truth rejects 7
+    # every class gets a candidate; the ground truth runs on the 76 nontrivial
+    # ones and rejects 7, the trivial class being certified by the C-group checks
+    assert calls == {"classes": 77, "candidates": 77, "defects": 76}
+
+
+@pytest.mark.parametrize("source", [f"case{c}" for c in (7, 10, 11, 12, 13, 19, 21)]
+                         + [e.name for e in rank3_catalog(degenerate=True)])
+def test_trivial_class_passes_the_ground_truth(ws, source):
+    """The search accepts the trivial class without `_defect`, on the string
+    C-group certificate; the ground truth accepts it too, for every desk
+    universal, both of its rank-3 parabolic groups, and every catalog group."""
+    if source.startswith("case"):
+        g = ws.universal(int(source[4:])).group
+        groups = [g, g.parabolic_group((0, 1, 2)), g.parabolic_group((1, 2, 3))]
+    else:
+        groups = [entry_by_name(source).group()]
+    for h in groups:
+        q, least = quotient_candidate(h, np.array([0]))
+        assert _defect(q) is None
+        assert np.array_equal(least, np.arange(h.order))
+        assert all(np.array_equal(a, s) for a, s in zip(q.adj, h.gens))
 
 
 def test_case10_builds_no_section(ws, monkeypatch):
