@@ -8,7 +8,10 @@ on the cosets of the facet and the vertex-figure parabolics side by side
 when they certify themselves faithful (see `build_universal`), and from the
 coset table of the trivial subgroup otherwise.  The outcome is classified by
 comparing the parabolic subgroups against the prescribed facet and
-vertex-figure groups and checking the intersection condition.
+vertex-figure groups and checking the intersection condition.  The Table 1
+classification builds one case of each dual pair: the dual's presentation
+is the reversal of its partner's, and its group the partner's with the
+generators reversed (see `classify_table1`).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
 from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, lift_from_parabolics, perm_rep
-from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup
+from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
 from .polytopes import Polytope, intersection_condition, polytope_from_group
-from .presentations import Presentation
+from .presentations import Presentation, Word, normalize_relators
 
 EXISTS = "exists"
 COLLAPSED = "collapsed"
@@ -71,6 +74,31 @@ def amalgam_presentation(spec: AmalgamSpec) -> Presentation:
     return pres.with_relators(extra)
 
 
+def reversed_presentation(pres: Presentation) -> Presentation:
+    """The presentation with its generators reversed, s_i -> s_{r-1-i}.
+
+    For a string group this is duality: the group of the dual polytope is the
+    same group with its generators in reverse order (McMullen & Schulte,
+    Abstract Regular Polytopes, 2002, section 2E), so the reversal of
+    {K, L}'s presentation presents {L*, K*}."""
+    r = pres.rank
+    return Presentation(r, tuple(tuple(r - 1 - g for g in rel) for rel in pres.relators))
+
+
+def canonical_relator(word: Word) -> Word:
+    """The least rotation of the word or of its reverse.  Over involutory
+    generators the reverse is the inverse, and a rotation a conjugate, so
+    they all have the same normal closure."""
+    w = tuple(word)
+    return min((r[i:] + r[:i] for r in (w, w[::-1]) for i in range(len(r))), default=w)
+
+
+def presentation_key(pres: Presentation):
+    """The rank and the set of canonical relators: presentations with the
+    same key present the same group on the same generators."""
+    return pres.rank, frozenset(map(canonical_relator, normalize_relators(pres.relators)))
+
+
 @dataclass
 class UniversalResult:
     spec: AmalgamSpec
@@ -112,7 +140,9 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     group, as is every order when the trivial subgroup is enumerated instead
     because the certificate fails, or for the amalgams in TRIVIAL_ROUTE.
     Both routes number the elements in the same order on every Table 1 case
-    and every closed pair of catalog entries, which the tests check.
+    and every closed pair of catalog entries, and so does the third route,
+    a dual case's group derived from its partner's in `classify_table1`;
+    the tests check all three.
 
     `max_cosets` bounds every enumeration, and also the lifted order: the
     group is lifted only when the least d*|F| is within it and within the
@@ -134,6 +164,12 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         if table.status == EXCEEDED:
             return UniversalResult(spec, EXCEEDED, cosets_defined=defined)
         g = perm_rep(table)
+    return _classify(spec, g, defined)
+
+
+def _classify(spec: AmalgamSpec, g: MarkedGroup, defined: int) -> UniversalResult:
+    """The outcome for the amalgam's group g: its parabolic orders against
+    the prescribed facet and vertex figure, then the intersection condition."""
     facet_sub = g.parabolic([0, 1, 2])
     vfig_sub = g.parabolic([1, 2, 3])
     res = UniversalResult(spec, EXISTS, g, facet_sub.order, vfig_sub.order,
@@ -219,17 +255,28 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
                     stretch: bool = False) -> dict[int, UniversalResult]:
     """One UniversalResult per Table 1 case.
 
+    A case whose presentation is the reversal of an earlier case's (see
+    `reversed_presentation`) is the dual of that partner, and its result is
+    derived from the partner's by `derive_reversed`, not built; a partner
+    that gives nothing to derive from leaves the case to its own route.
     Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; they
     are reported as exceeded-limit without burning the full coset budget.
     With stretch=True case 20 is enumerated over its facet subgroup (see
-    `build_universal_over_facet`).  Case 22 is reported so even then: its
-    facet-subgroup index, 600,415,200 / 60 = 10,006,920, is over the stretch
-    budget, and it is the dual of case 20.
+    `build_universal_over_facet`), and case 22 is derived from it when that
+    run finds the polytope; its own facet-subgroup index, 600,415,200 / 60 =
+    10,006,920, is over the stretch budget.
     """
     out: dict[int, UniversalResult] = {}
+    first_with_key = {}
     for case in TABLE1:
         spec = case.amalgam()
-        if case.number == 20 and stretch:
+        pres = amalgam_presentation(spec)
+        partner = first_with_key.get(presentation_key(reversed_presentation(pres)))
+        first_with_key.setdefault(presentation_key(pres), case.number)
+        derived = derive_reversed(spec, out[partner]) if partner is not None else None
+        if derived is not None:
+            out[case.number] = derived
+        elif case.number == 20 and stretch:
             out[case.number] = build_universal_over_facet(
                 case, max_cosets=max(max_cosets, STRETCH_MAX_COSETS))
         elif case.number in LARGE_CASES:
@@ -237,6 +284,28 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
         else:
             out[case.number] = build_universal(spec, max_cosets=max_cosets)
     return out
+
+
+def derive_reversed(spec: AmalgamSpec, partner: UniversalResult) -> UniversalResult | None:
+    """The result for `spec` from that of a partner whose presentation is
+    the reversal of spec's, or None when the partner has neither a group nor
+    an order from the facet-coset path.
+
+    The group is the partner's with its generators reversed.
+    `regular_from_action` rebuilds it from the partner's regular action with
+    no enumeration (`cosets_defined` is 0), numbering the elements by words
+    alone, so its generator permutations are those of `build_universal(spec)`,
+    and it is classified by the same code.  A facet-coset result keeps its
+    outcome and order, with the two parabolic orders swapped.
+    """
+    if partner.group is not None:
+        g = partner.group
+        return _classify(spec, regular_from_action(g.gens[::-1], g.order), 0)
+    if partner.outcome == EXISTS and partner.order_reconstructed is not None:
+        return UniversalResult(spec, EXISTS, None, partner.vfig_subgroup_order,
+                               partner.facet_subgroup_order, cosets_defined=0,
+                               order_reconstructed=partner.order_reconstructed)
+    return None
 
 
 def build_universal_over_facet(case: CaseSpec,

@@ -41,7 +41,12 @@ right multiplication.  The c_k are then involutions too, so testing that
 adds nothing (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 2005, section 4: a transitive group with a transitive centraliser is
 regular).  Generators that do not act regularly raise ValueError before any
-element id is handed out.
+element id is handed out.  Two constructors prove regularity as they build,
+so their groups skip the check: `regular_from_action`, whose orbit of
+exactly `order` tuples makes the base tuple's stabiliser trivial, and
+`MarkedGroup.parabolic_group`, a subgroup of a regular action acting on its
+own orbit of point 0.  The check runs only on generators handed in from
+outside, such as the trivial subgroup's coset table in `coset.perm_rep`.
 
 The facts that need no products come from the permutations in O(n * rank):
 the order, the generators' ids and the parabolic subgroups.  An element h
@@ -197,6 +202,11 @@ def regular_from_action(perms, order: int) -> "MarkedGroup | None":
     dict from key to number dedupes the images.  Member j stands for the
     element taking the base tuple to it, and the numbering depends only on
     which words in the generators are equal in P, not on the action.
+
+    The group comes back marked regular, without `MarkedGroup`'s check: its
+    points are the `order` tuples of the orbit, on which P acts transitively,
+    and an orbit of |P| points leaves the tuple's stabiliser, hence every
+    point's, trivial.
     """
     d = len(perms[0])
     m = _base_length(d)
@@ -224,7 +234,16 @@ def regular_from_action(perms, order: int) -> "MarkedGroup | None":
         frontier = fresh
     if len(number) < order:
         return None
-    return MarkedGroup(order, list(gens))
+    return _proved_regular(order, list(gens))
+
+
+def _proved_regular(degree: int, gens) -> "MarkedGroup":
+    """A MarkedGroup on generators that its caller has proved to act
+    regularly, so it skips the regularity check; an action over the order
+    limit is still refused with BoundExceeded when first used."""
+    g = MarkedGroup(degree, gens)
+    g._regular = degree <= g.order_limit
+    return g
 
 
 def _ids_key(ids) -> bytes:
@@ -259,7 +278,7 @@ class MarkedGroup:
             if not is_involution(g):
                 raise ValueError(f"generator {i} does not square to the identity")
         self.order_limit = order_limit
-        self._regular = False      # set by _check_regular
+        self._regular = False      # set by _check_regular, or by a constructor's proof
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j = elem_j[i]
         self._inv = None
         self._elem_orders = None
@@ -321,11 +340,14 @@ class MarkedGroup:
 
     def parabolic_group(self, gen_indices) -> "MarkedGroup":
         """The parabolic subgroup acting on itself: its point k, and so its
-        element k, is its k-th least element id here."""
+        element k, is its k-th least element id here.  It comes back marked
+        regular: the subgroup H acts transitively on the orbit of point 0,
+        its own element ids, and a point stabiliser in H lies in one of this
+        regular action, which is trivial."""
         ids = self.parabolic(gen_indices).elem_ids
         pos = np.empty(self.order, dtype=np.int32)
         pos[ids] = np.arange(len(ids))
-        return MarkedGroup(len(ids), [pos[self.gens[i][ids]] for i in gen_indices])
+        return _proved_regular(len(ids), [pos[self.gens[i][ids]] for i in gen_indices])
 
     # -- the table, built on first use ----------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import catalog
 from .amalgam import (EXISTS, COLLAPSED, NOT_POLYTOPAL, amalgam_presentation,
                       build_universal, build_universal_over_facet, case_spec,
-                      twisted_over)
+                      derive_reversed, twisted_over)
 from .config import RunConfig
 from .coset import EXCEEDED, broken_relator
 from .polytopes import (are_isomorphic, dual, is_polytopal, is_regular,
@@ -291,14 +291,18 @@ def criterion_12(ws: Workspace) -> list[CheckRow]:
 
 
 def criterion_13(ws: Workspace) -> list[CheckRow]:
-    """Stretch: case 20 over its facet subgroup; optional, never fails the suite."""
+    """Stretch: case 20 over its facet subgroup, and its dual case 22 derived
+    from it as in `classify_table1`; optional, never fails the suite."""
     res = build_universal_over_facet(case_spec(20), max_cosets=ws.config.max_cosets)
     if res.outcome != EXISTS:
         return [CheckRow(13, "case 20 stretch outcome", EXISTS, res.outcome, source="stretch")]
+    dual = derive_reversed(case_spec(22).amalgam(), res)
     return [
         CheckRow(13, "case 20 facet-coset index", 5003460,
                  res.order_reconstructed // 120, source="stretch"),
         CheckRow(13, "case 20 group order", 600415200, res.order_reconstructed,
+                 source="stretch"),
+        CheckRow(13, "case 22 group order", 600415200, dual.order_reconstructed,
                  source="stretch"),
     ]
 

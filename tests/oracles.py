@@ -8,6 +8,7 @@ weaker element mask, which reads a group's multiplication table, and the
 table's unchunked composition.
 """
 
+import copy
 from array import array
 from collections import deque
 from functools import cache
@@ -563,3 +564,16 @@ def unchunked_table(g):
     for k, parent, child in _bfs_tree(g.gens, n):
         R[child] = gens[k][R[parent]]
     return R
+
+
+def passes_full_regularity_check(g) -> bool:
+    """Whether a MarkedGroup's generators act regularly, by the library's full
+    check run on a copy whose `_regular` flag is cleared: the ground truth for
+    the groups that a constructor marks regular without running it."""
+    h = copy.copy(g)
+    h._regular = False
+    try:
+        h._check_regular()
+    except ValueError:
+        return False
+    return True

@@ -42,3 +42,20 @@ def test_criterion_13_stretch(ws):
         status = "PASS" if row.ok else "FAIL"
         print(f"[{status}] criterion 13: {row.name}: expected {row.expected!r}, got {row.actual!r}")
     # per the specification this row is optional and does not fail the suite
+
+
+def test_criterion_13_rows_from_an_existing_case20(monkeypatch):
+    """The stretch rows without the stretch run: case 22's order is derived
+    from case 20's."""
+    from polyquot import verify
+    from polyquot.amalgam import EXISTS, UniversalResult, case_spec
+
+    case20 = UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
+                             order_reconstructed=600415200)
+    monkeypatch.setattr(verify, "build_universal_over_facet", lambda case, max_cosets: case20)
+    rows = criterion_13(Workspace())
+    assert [(r.name, r.actual, r.source, r.ok) for r in rows] == [
+        ("case 20 facet-coset index", 5003460, "stretch", True),
+        ("case 20 group order", 600415200, "stretch", True),
+        ("case 22 group order", 600415200, "stretch", True),
+    ]

@@ -7,10 +7,11 @@ import pytest
 from polyquot import amalgam, coset, permgroups
 from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
-                              build_universal_over_facet, case_spec,
-                              classify_table1, twisted_over)
+                              build_universal_over_facet, canonical_relator, case_spec,
+                              classify_table1, presentation_key, reversed_presentation,
+                              twisted_over)
 from polyquot.catalog import entry_by_name, petrie_relator, rank3_catalog
-from polyquot.coset import (EXCEEDED, _interleaved_union, coset_enumeration,
+from polyquot.coset import (EXCEEDED, _interleaved_union, broken_relator, coset_enumeration,
                             lift_from_parabolics, perm_rep)
 from polyquot.permgroups import DEFAULT_ORDER_LIMIT, regular_from_action
 from polyquot.polytopes import are_isomorphic, dual, polytope_from_group
@@ -214,7 +215,8 @@ def test_stretch_case22_exceeds_budget():
 
 
 def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
-    # case 22's facet-subgroup index (10,006,920) is over the stretch budget
+    # case 22 is never enumerated: it is derived from case 20, and an
+    # exceeded case 20 leaves nothing to derive, so case 22 is exceeded too
     over_facet = []
 
     def fake_enumeration(pres, subgroup_words=(), max_cosets=0):
@@ -227,6 +229,96 @@ def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
     results = classify_table1(stretch=True)
     assert over_facet == [amalgam_presentation(case_spec(20).amalgam())]
     assert results[22].outcome == EXCEEDED and results[22].cosets_defined == 0
+
+
+def test_stretch_table1_derives_case22_from_an_existing_case20(monkeypatch):
+    case20 = amalgam.UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
+                                     cosets_defined=5003460, order_reconstructed=600415200)
+    monkeypatch.setattr(amalgam, "build_universal_over_facet", lambda case, max_cosets: case20)
+    monkeypatch.setattr(amalgam, "build_universal",
+                        lambda spec, max_cosets: amalgam.UniversalResult(spec, EXISTS))
+    r = classify_table1(stretch=True)[22]
+    assert r.spec == case_spec(22).amalgam() and r.group is None
+    assert (r.outcome, r.order_reconstructed, r.cosets_defined) == (EXISTS, 600415200, 0)
+    assert (r.facet_subgroup_order, r.vfig_subgroup_order) == (60, 120)
+
+
+# ---------------------------------------------------------------------------
+# duality as the reversal of a presentation
+
+REVERSAL_PAIRS = [(1, 9), (2, 16), (3, 5), (6, 8), (10, 12), (13, 19), (14, 18), (15, 17),
+                  (20, 22)]
+SELF_REVERSED = [4, 7, 11, 21]
+DERIVED_CASES = [5, 8, 9, 12, 16, 17, 18, 19]
+
+
+def test_canonical_relator():
+    assert canonical_relator((1, 2, 0)) == (0, 1, 2)
+    assert canonical_relator((0, 2, 1)) == (0, 1, 2)  # the reverse of a rotation
+    assert canonical_relator((3, 2, 1) * 3) == (1, 2, 3) * 3
+    assert canonical_relator((2, 0, 2, 0)) == (0, 2, 0, 2)
+
+
+def test_reversal_pairs_come_from_the_presentations():
+    keys = {c.number: presentation_key(amalgam_presentation(c.amalgam())) for c in TABLE1}
+    partners = {}
+    for c in TABLE1:
+        rev = presentation_key(reversed_presentation(amalgam_presentation(c.amalgam())))
+        partners[c.number] = [n for n, k in keys.items() if k == rev]
+    expected = {n: [n] for n in SELF_REVERSED}
+    for a, b in REVERSAL_PAIRS:
+        expected[a], expected[b] = [b], [a]
+    assert partners == dict(sorted(expected.items()))
+    # TABLE1.dual_of marks 7 of the 9 pairs
+    for c in TABLE1:
+        if c.dual_of is not None:
+            assert (c.dual_of, c.number) in REVERSAL_PAIRS
+
+
+def test_reversal_is_an_involution():
+    entries = rank3_catalog(degenerate=True)
+    for pres in ([amalgam_presentation(c.amalgam()) for c in TABLE1]
+                 + [e.presentation() for e in entries]):
+        assert reversed_presentation(reversed_presentation(pres)) == pres
+    # on rank 3 it takes each entry to its dual
+    for e in entries:
+        assert (presentation_key(reversed_presentation(e.presentation()))
+                == presentation_key(entry_by_name(e.dual_name).presentation())), e.name
+
+
+@pytest.fixture(scope="module")
+def table1_results():
+    return classify_table1()
+
+
+@pytest.mark.parametrize("case", DERIVED_CASES)
+def test_derived_case_equals_a_built_one(table1_results, case):
+    spec = case_spec(case).amalgam()
+    derived, built = table1_results[case], build_universal(spec)
+    assert derived.cosets_defined == 0
+    assert (derived.outcome, derived.order) == (built.outcome, built.order)
+    assert derived.facet_subgroup_order == built.facet_subgroup_order
+    assert derived.vfig_subgroup_order == built.vfig_subgroup_order
+    assert derived.collapse_detail == built.collapse_detail
+    assert _same_gens(derived.group, built.group)
+    assert broken_relator(derived.group.gens, amalgam_presentation(spec).relators) is None
+
+
+def test_classify_table1_enumerates_only_the_cases_it_builds(monkeypatch):
+    calls = _enumerated_subgroups(monkeypatch)
+    checked = []
+    real = permgroups._bfs_tree
+
+    def spy(perms, n):
+        checked.append(perms)
+        return real(perms, n)
+
+    monkeypatch.setattr(permgroups, "_bfs_tree", spy)
+    results = classify_table1()
+    assert len(calls) == 26
+    # the regularity check runs only on the trivial-subgroup route's groups
+    assert len(checked) == 4
+    assert all(p is results[c].group.gens for p, c in zip(checked, (2, 3, 4, 11)))
 
 
 # ---------------------------------------------------------------------------

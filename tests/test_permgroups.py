@@ -3,13 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyquot import permgroups
 from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, ditope_group, entry_by_name,
-                              petrie_relator)
-from polyquot.coset import coset_enumeration, perm_rep
-from polyquot.amalgam import twisted_over
+                              petrie_relator, rank3_catalog)
+from polyquot.coset import coset_enumeration, lift_from_parabolics, perm_rep
+from polyquot.amalgam import classify_table1, twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
                                  conjugates, enumerate_subgroups, enumerate_subgroups_within,
                                  intersect, orbit_min_labels, product_set_intersect)
@@ -138,6 +138,62 @@ def test_non_regular_generators_raise(ws, name):
                  lambda: intersection_condition(g)):
         with pytest.raises(ValueError, match="do not act"):
             read()
+
+
+def _assert_proved_regular(g):
+    assert g._regular, "the constructor's proof should mark the group regular"
+    assert oracles.passes_full_regularity_check(g)
+
+
+def test_certified_groups_pass_the_full_check():
+    """Every group that `regular_from_action` or `parabolic_group` marks
+    regular without the check: the Table 1 groups, their rank-3 parabolic
+    groups and the catalog's groups."""
+    groups = [r.group for r in classify_table1().values() if r.group is not None]
+    assert len(groups) == 20
+    for g in groups:
+        assert oracles.passes_full_regularity_check(g)
+        for js in ((0, 1, 2), (1, 2, 3)):
+            _assert_proved_regular(g.parabolic_group(js))
+    for entry in rank3_catalog(degenerate=True):
+        _assert_proved_regular(entry.group())
+
+
+def _coxeter_order(p, q):
+    """|[p,q]|, the flags of {p,q}, or None when the group is infinite."""
+    d = 4 - (p - 2) * (q - 2)
+    return 8 * p * q // d if d > 0 else None
+
+
+@st.composite
+def _coxeter_plus_one_relator(draw):
+    """A Coxeter presentation of rank 3 or 4 with one extra relator, and its
+    parabolics with bounds on their orders: the dihedral <s0,s1>, <s1,s2> at
+    rank 3, the finite rank-3 <s0,s1,s2>, <s1,s2,s3> at rank 4."""
+    rank = draw(st.sampled_from([3, 4]))
+    if rank == 3:
+        entries = draw(st.tuples(st.integers(2, 6), st.integers(2, 6)))
+        parabolics = [((0, 1), 2 * entries[0]), ((1, 2), 2 * entries[1])]
+    else:
+        entries = draw(st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)).filter(
+            lambda e: _coxeter_order(*e[:2]) and _coxeter_order(*e[1:])))
+        parabolics = [((0, 1, 2), _coxeter_order(*entries[:2])),
+                      ((1, 2, 3), _coxeter_order(*entries[1:]))]
+    word = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=5))
+    power = draw(st.integers(1, 6))
+    pres = coxeter_presentation(SchlafliSymbol(entries)).with_relators([tuple(word) * power])
+    return pres, parabolics
+
+
+@given(_coxeter_plus_one_relator())
+@settings(max_examples=30, deadline=None)
+def test_lifted_groups_pass_the_full_check(case):
+    pres, parabolics = case
+    g, _ = lift_from_parabolics(pres, parabolics, max_cosets=2000)
+    assume(g is not None)
+    _assert_proved_regular(g)
+    for js, _ in parabolics:
+        _assert_proved_regular(g.parabolic_group(js))
 
 
 def _assert_parabolics_match_table(g, monkeypatch):
