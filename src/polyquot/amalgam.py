@@ -9,9 +9,10 @@ when they certify themselves faithful (see `build_universal`), and from the
 coset table of the trivial subgroup otherwise.  The outcome is classified by
 comparing the parabolic subgroups against the prescribed facet and
 vertex-figure groups and checking the intersection condition.  The Table 1
-classification builds one case of each dual pair: the dual's presentation
-is the reversal of its partner's, and its group the partner's with the
-generators reversed (see `classify_table1`).
+classification builds and classifies one case of each dual pair: the dual's
+presentation is the reversal of its partner's, its group the partner's with
+the generators reversed, and its outcome rendered from the partner's facts
+dualised (see `derive_reversed`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation
+from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation, identified_dual
 from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, lift_from_parabolics, perm_rep
 from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
 from .polytopes import Polytope, intersection_condition, polytope_from_group
-from .presentations import Presentation, Word, normalize_relators
+from .presentations import Presentation, Word, cyclic_forms, normalize_relators
 
 EXISTS = "exists"
 COLLAPSED = "collapsed"
@@ -88,9 +89,11 @@ def reversed_presentation(pres: Presentation) -> Presentation:
 def canonical_relator(word: Word) -> Word:
     """The least rotation of the word or of its reverse.  Over involutory
     generators the reverse is the inverse, and a rotation a conjugate, so
-    they all have the same normal closure."""
-    w = tuple(word)
-    return min((r[i:] + r[:i] for r in (w, w[::-1]) for i in range(len(r))), default=w)
+    they all have the same normal closure.  For word = u^k it is the least
+    of `cyclic_forms` to the power k, since powers of words of one length
+    compare as the words do."""
+    forms, k = cyclic_forms(tuple(word))
+    return min(forms) * k
 
 
 def presentation_key(pres: Presentation):
@@ -109,6 +112,12 @@ class UniversalResult:
     collapse_detail: str | None = None
     cosets_defined: int | None = None
     order_reconstructed: int | None = None  # stretch path: index x facet order
+    # the facts the outcome is rendered from (see `_render`): `identify`'s
+    # name of each collapsed parabolic, and the intersection condition,
+    # evaluated only when neither collapsed
+    facet_collapse_name: str | None = None
+    vfig_collapse_name: str | None = None
+    intersection: bool | None = None
     _polytope: Polytope | None = None
 
     @property
@@ -168,29 +177,40 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
 
 
 def _classify(spec: AmalgamSpec, g: MarkedGroup, defined: int) -> UniversalResult:
-    """The outcome for the amalgam's group g: its parabolic orders against
-    the prescribed facet and vertex figure, then the intersection condition."""
-    facet_sub = g.parabolic([0, 1, 2])
-    vfig_sub = g.parabolic([1, 2, 3])
-    res = UniversalResult(spec, EXISTS, g, facet_sub.order, vfig_sub.order,
-                          cosets_defined=defined)
+    """The facts for the amalgam's group g, rendered by `_render`: its
+    parabolic orders, the name of each parabolic that collapsed below its
+    prescribed order, and the intersection condition when neither did."""
+    facet_order = g.parabolic([0, 1, 2]).order
+    vfig_order = g.parabolic([1, 2, 3]).order
+    res = UniversalResult(spec, EXISTS, g, facet_order, vfig_order, cosets_defined=defined)
+    if facet_order < spec.facet.expected_order:
+        res.facet_collapse_name = _parabolic_name(g, (0, 1, 2))
+    if vfig_order < spec.vfig.expected_order:
+        res.vfig_collapse_name = _parabolic_name(g, (1, 2, 3))
+    if res.facet_collapse_name is None and res.vfig_collapse_name is None:
+        res.intersection = intersection_condition(g)
+    return _render(res)
+
+
+def _render(res: UniversalResult) -> UniversalResult:
+    """Set the outcome and `collapse_detail` of res, built as exists, from
+    its facts: collapsed when a parabolic has a collapse name, else
+    not-polytopal when the intersection condition fails."""
+    spec = res.spec
     detail = []
-    if facet_sub.order < spec.facet.expected_order:
+    if res.facet_collapse_name is not None:
         detail.append(
-            f"facet subgroup collapsed to order {facet_sub.order} "
-            f"({_parabolic_name(g, (0, 1, 2))}), expected {spec.facet.expected_order} ({spec.facet.name})")
-    if vfig_sub.order < spec.vfig.expected_order:
+            f"facet subgroup collapsed to order {res.facet_subgroup_order} "
+            f"({res.facet_collapse_name}), expected {spec.facet.expected_order} ({spec.facet.name})")
+    if res.vfig_collapse_name is not None:
         detail.append(
-            f"vertex-figure subgroup collapsed to order {vfig_sub.order} "
-            f"({_parabolic_name(g, (1, 2, 3))}), expected {spec.vfig.expected_order} ({spec.vfig.name})")
+            f"vertex-figure subgroup collapsed to order {res.vfig_subgroup_order} "
+            f"({res.vfig_collapse_name}), expected {spec.vfig.expected_order} ({spec.vfig.name})")
     if detail:
-        res.outcome = COLLAPSED
-        res.collapse_detail = "; ".join(detail)
-        return res
-    if not intersection_condition(g):
+        res.outcome, res.collapse_detail = COLLAPSED, "; ".join(detail)
+    elif not res.intersection:
         res.outcome = NOT_POLYTOPAL
         res.collapse_detail = "parabolic orders match but the intersection condition fails"
-        return res
     return res
 
 
@@ -288,19 +308,36 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
 
 def derive_reversed(spec: AmalgamSpec, partner: UniversalResult) -> UniversalResult | None:
     """The result for `spec` from that of a partner whose presentation is
-    the reversal of spec's, or None when the partner has neither a group nor
-    an order from the facet-coset path.
+    the reversal of spec's, with no second classification; None when the
+    partner has neither a group nor an order from the facet-coset path.
 
-    The group is the partner's with its generators reversed.
-    `regular_from_action` rebuilds it from the partner's regular action with
-    no enumeration (`cosets_defined` is 0), numbering the elements by words
-    alone, so its generator permutations are those of `build_universal(spec)`,
-    and it is classified by the same code.  A facet-coset result keeps its
-    outcome and order, with the two parabolic orders swapped.
+    Reversing the generators is duality: it swaps the facet and
+    vertex-figure parabolics and takes each to its dual (McMullen & Schulte,
+    Abstract Regular Polytopes, 2002, section 2E), and it keeps the
+    intersection condition, whose parabolic pairs it permutes.  Every
+    catalog entry's extra relators use all three of its generators, so the
+    relators on s_0, s_1, s_2 are the prescribed facet's, and spec's facet
+    presents the partner's vertex figure reversed: the prescribed orders
+    swap too.  So the parabolic orders are the partner's swapped, each
+    collapse name is the `catalog.identified_dual` of the partner's other
+    one, the intersection condition carries over, and `_render`, which
+    renders built cases too, gives the outcome and detail.  The group is the partner's with its
+    generators reversed, rebuilt by `regular_from_action` from the partner's
+    regular action on the one-point base (0,) with no enumeration
+    (`cosets_defined` is 0); it numbers the elements by words alone, so its
+    generator permutations are those of `build_universal(spec)`.  A
+    facet-coset result keeps its outcome and order, with the two parabolic
+    orders swapped.
     """
     if partner.group is not None:
         g = partner.group
-        return _classify(spec, regular_from_action(g.gens[::-1], g.order), 0)
+        facet_name, vfig_name = (name and identified_dual(name) for name in
+                                 (partner.vfig_collapse_name, partner.facet_collapse_name))
+        return _render(UniversalResult(
+            spec, EXISTS, regular_from_action(g.gens[::-1], g.order),
+            partner.vfig_subgroup_order, partner.facet_subgroup_order, cosets_defined=0,
+            facet_collapse_name=facet_name, vfig_collapse_name=vfig_name,
+            intersection=partner.intersection))
     if partner.outcome == EXISTS and partner.order_reconstructed is not None:
         return UniversalResult(spec, EXISTS, None, partner.vfig_subgroup_order,
                                partner.facet_subgroup_order, cosets_defined=0,

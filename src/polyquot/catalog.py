@@ -245,3 +245,26 @@ def identify(p: Polytope) -> str:
             if p.n_flags == e.expected_order and broken_relator(adj, e.presentation().relators) is None:
                 return e.name
     return "unrecognized:{" + ",".join(map(str, p.schlafli_type())) + "}"
+
+
+_UNRECOGNIZED_RE = re.compile(r"^unrecognized:\{(.*)\}$")
+
+
+def identified_dual(name: str) -> str:
+    """The name `identify` gives the dual of a polytope it names `name`.
+
+    The catalog is closed under duality, so a catalog name goes to the name
+    of its dual entry, given as `identify` gives it: by the last entry with
+    the same presentation, so {2,2}, self-dual, stays hosohedron(2).  The
+    dual of an unrecognized polytope is unrecognized, of the reversed type;
+    any other name, such as a group that is no polytope, is kept."""
+    m = _UNRECOGNIZED_RE.match(name)
+    if m:
+        return "unrecognized:{" + ",".join(reversed(m.group(1).split(","))) + "}"
+    try:
+        d = entry_by_name(entry_by_name(name).dual_name)
+    except KeyError:
+        return name
+    pres = d.presentation()
+    return next((e.name for e in reversed(rank3_catalog(degenerate=True))
+                 if e.presentation() == pres), d.name)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permgroups import DEFAULT_ORDER_LIMIT, MarkedGroup, regular_from_action
-from .presentations import Presentation, Word, normalize_relators
+from .presentations import Presentation, Word, cyclic_forms, normalize_relators
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -98,11 +98,8 @@ class _Enumerator:
         self.edp: list[list[tuple[Word, tuple[array, ...]]]] = [[] for _ in range(self.rank)]
         rots = set()
         for rel in normalize_relators(pres.relators):
-            n = len(rel)
-            d = next(d for d in range(1, n + 1) if n % d == 0 and rel[d:] == rel[:n - d])
-            for w in (rel, rel[::-1]):
-                for i in range(d):
-                    rots.add(w[i:] + w[:i])
+            forms, k = cyclic_forms(rel)
+            rots.update(w * k for w in forms)
         for w in sorted(rots):
             self.edp[w[0]].append((w, self._columns(w)))
 

@@ -6,13 +6,15 @@ right-regular action: the generators are image arrays on range(n), n the group
 order, and a point j stands for the one element sending point 0 to j.  Every
 group the package builds reaches it that way: the closed coset table of the
 trivial subgroup is exactly such an action, and `regular_from_action` builds
-it from a smaller faithful action, as the orbit of a base tuple: an orbit of
-a known bound on the group order certifies the bound exact and the tuple a
-base (Sims, Computational methods in the study of permutation groups, 1970;
-Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005, sections
-4.4 and 5).  Each tuple is one int64 key and one dict numbers the keys in
-order of first appearance, breadth-first from the base tuple, so the
-numbering is that of the group itself, not of the action.
+it from another faithful action, as the orbit of a base: an orbit of a known
+bound on the group order certifies the bound exact and the base one (Sims,
+Computational methods in the study of permutation groups, 1970; Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, sections 4.4 and 5).
+An action on as many points as the bound takes point 0 as its base, numbered
+through an index array; a smaller one a tuple of points, each tuple one
+int64 key, numbered through a dict.  Either way the members are numbered in
+order of first appearance, breadth-first from the base, so the numbering is
+that of the group itself, not of the action.
 Permutations act on the right, so the product a*b applies a first, and
 element j's image array is the row of the multiplication table that
 right-multiplies by j: element i times element j sends 0 to
@@ -43,7 +45,7 @@ adds nothing (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
 regular).  Generators that do not act regularly raise ValueError before any
 element id is handed out.  Two constructors prove regularity as they build,
 so their groups skip the check: `regular_from_action`, whose orbit of
-exactly `order` tuples makes the base tuple's stabiliser trivial, and
+exactly `order` members makes the base's stabiliser trivial, and
 `MarkedGroup.parabolic_group`, a subgroup of a regular action acting on its
 own orbit of point 0.  The check runs only on generators handed in from
 outside, such as the trivial subgroup's coset table in `coset.perm_rep`.
@@ -188,27 +190,32 @@ def _base_length(d: int) -> int:
 
 def regular_from_action(perms, order: int) -> "MarkedGroup | None":
     """The regular action of the group the permutations generate, when the
-    orbit of the tuple (0, ..., m-1) has exactly `order` members, else None;
-    m is `_base_length` of the degree.
+    orbit of a base has exactly `order` members, else None; the caller
+    knows `order` to bound the group's order from above.  An action on
+    `order` points takes the one point 0 as its base; any other takes the
+    tuple (0, ..., m-1), m being `_base_length` of the degree.
 
-    The orbit has |P| / |stabiliser of the tuple| members, P the group the
+    The orbit has |P| / |stabiliser of the base| members, P the group the
     permutations generate, so an orbit of a known upper bound on |P| proves
-    that bound is |P| and that the tuple is a base.  The orbit is then the
+    that bound is |P| and that the base is one.  The orbit is then the
     group's right-regular action: its members are numbered by a breadth-first
-    search from the base tuple, level by level, in order of first appearance
-    with (member, generator) scanned in row-major order, and generator k sends
-    member j to the number of member j's image under permutation k.  Each
-    tuple is one exact int64 key, the digits of its points in base d, and one
-    dict from key to number dedupes the images.  Member j stands for the
-    element taking the base tuple to it, and the numbering depends only on
-    which words in the generators are equal in P, not on the action.
+    search from the base, level by level, in order of first appearance with
+    (member, generator) scanned in row-major order, and generator k sends
+    member j to the number of member j's image under permutation k.  A point
+    is numbered through an index array over the `order` points; a tuple is
+    one exact int64 key, the digits of its points in base d, and one dict
+    from key to number dedupes the images.  Member j stands for the element
+    taking the base to it, and the numbering depends only on which words in
+    the generators are equal in P, not on the action or the base.
 
     The group comes back marked regular, without `MarkedGroup`'s check: its
-    points are the `order` tuples of the orbit, on which P acts transitively,
-    and an orbit of |P| points leaves the tuple's stabiliser, hence every
-    point's, trivial.
+    points are the `order` members of the orbit, on which P acts
+    transitively, and an orbit of |P| points leaves the base's stabiliser,
+    hence every point's, trivial.
     """
     d = len(perms[0])
+    if d == order:
+        return _regular_from_point(perms, order)
     m = _base_length(d)
     weights = d ** np.arange(m, dtype=np.int64)
     start = int(np.arange(m, dtype=np.int64) @ weights)
@@ -233,6 +240,33 @@ def regular_from_action(perms, order: int) -> "MarkedGroup | None":
         n0 += len(frontier)
         frontier = fresh
     if len(number) < order:
+        return None
+    return _proved_regular(order, list(gens))
+
+
+def _regular_from_point(perms, order: int) -> "MarkedGroup | None":
+    """`regular_from_action` on the base (0,) of an action on `order` points:
+    the same numbering, each level's new points numbered in order of first
+    appearance through the index array."""
+    perms = np.stack(perms)
+    rank = len(perms)
+    number = np.full(order, -1)
+    number[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)  # points of one BFS level, numbered from n0
+    gens = np.empty((rank, order), dtype=np.int32)
+    n0, n = 0, 1
+    while frontier.size:
+        img = perms[:, frontier].T.ravel()  # member x generator
+        new = img[number[img] < 0]
+        first = np.unique(new, return_index=True)[1]
+        first.sort()
+        fresh = new[first]
+        number[fresh] = np.arange(n, n + fresh.size)
+        n += fresh.size
+        gens[:, n0:n0 + frontier.size] = number[img].reshape(frontier.size, rank).T
+        n0 += frontier.size
+        frontier = fresh
+    if n < order:
         return None
     return _proved_regular(order, list(gens))
 

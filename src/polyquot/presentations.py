@@ -39,6 +39,19 @@ def power_word(base: Word, exponent: int) -> Word:
     return tuple(base) * exponent
 
 
+def cyclic_forms(word: Word) -> tuple[list[Word], int]:
+    """The rotations of the word's least period u and of u's reverse, with
+    the exponent k of word = u^k.  Each cyclic form of the word or of its
+    reverse, the rotations of either, is one of these to the power k: a
+    rotation of u^k by i is the rotation of u by i mod |u|, repeated."""
+    n = len(word)
+    if not n:
+        return [()], 1
+    d = next(d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[:n - d])
+    u = tuple(word[:d])
+    return [w[i:] + w[:i] for w in (u, u[::-1]) for i in range(d)], n // d
+
+
 def normalize_relators(relators) -> tuple[Word, ...]:
     """Drop implicit involution relators and duplicates, keep first-seen order."""
     seen = set()

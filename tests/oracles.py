@@ -577,3 +577,14 @@ def passes_full_regularity_check(g) -> bool:
     except ValueError:
         return False
     return True
+
+
+def all_cyclic_forms(word) -> set:
+    """Every rotation of the word and of its reverse, one per start."""
+    w = tuple(word)
+    return {r[i:] + r[:i] for r in (w, w[::-1]) for i in range(len(r))}
+
+
+def least_cyclic_form(word):
+    """The least of `all_cyclic_forms`, the word itself when it is empty."""
+    return min(all_cyclic_forms(word), default=tuple(word))

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyquot import amalgam, coset, permgroups
+from polyquot import amalgam, coset, permgroups, polytopes
 from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, canonical_relator, case_spec,
@@ -16,6 +17,8 @@ from polyquot.coset import (EXCEEDED, _interleaved_union, broken_relator, coset_
 from polyquot.permgroups import DEFAULT_ORDER_LIMIT, regular_from_action
 from polyquot.polytopes import are_isomorphic, dual, polytope_from_group
 from polyquot.presentations import power_word
+
+from oracles import least_cyclic_form
 
 
 def test_spec_validation():
@@ -259,6 +262,13 @@ def test_canonical_relator():
     assert canonical_relator((2, 0, 2, 0)) == (0, 2, 0, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(1, 5))
+def test_canonical_relator_is_the_least_cyclic_form(period, k):
+    word = tuple(period) * k
+    assert canonical_relator(word) == least_cyclic_form(word)
+
+
 def test_reversal_pairs_come_from_the_presentations():
     keys = {c.number: presentation_key(amalgam_presentation(c.amalgam())) for c in TABLE1}
     partners = {}
@@ -284,6 +294,13 @@ def test_reversal_is_an_involution():
     for e in entries:
         assert (presentation_key(reversed_presentation(e.presentation()))
                 == presentation_key(entry_by_name(e.dual_name).presentation())), e.name
+
+
+def test_extra_relators_use_every_generator():
+    # so an amalgam's relators on s_0, s_1, s_2 are its facet's, and a
+    # derived case's prescribed orders are its partner's swapped
+    assert all(set(rel) == {0, 1, 2}
+               for e in rank3_catalog(degenerate=True) for rel in e.extra_relators)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +336,30 @@ def test_classify_table1_enumerates_only_the_cases_it_builds(monkeypatch):
     # the regularity check runs only on the trivial-subgroup route's groups
     assert len(checked) == 4
     assert all(p is results[c].group.gens for p, c in zip(checked, (2, 3, 4, 11)))
+
+
+def test_classify_table1_classifies_no_derived_group(monkeypatch):
+    # a derived case's orders, names and outcome come from its partner's facts
+    seen = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(g, *args):
+            seen.append(g)
+            return real(g, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(permgroups.MarkedGroup, "parabolic")
+    spy(amalgam, "intersection_condition")
+    spy(polytopes, "intersection_condition")
+    spy(amalgam, "_parabolic_name")
+    results = classify_table1()
+    derived = [results[c].group for c in DERIVED_CASES]
+    assert all(g is not None for g in derived)
+    assert not any(g is h for g in seen for h in derived)
+    # the spies see the built cases' groups
+    assert all(any(g is results[c].group for g in seen) for c in (6, 10, 13))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from polyquot import catalog
 from polyquot.catalog import (SchlafliSymbol, build_ditope, central_quotient,
                               central_quotient_group, coxeter_presentation,
                               dihedron, ditope_group, entry_by_name, hosohedron,
-                              identify, rank3_catalog, with_petrie)
+                              identified_dual, identify, rank3_catalog, with_petrie)
 from polyquot.coset import broken_relator, coset_enumeration, lift_from_parabolics, perm_rep
 from polyquot.permgroups import is_involution, orbit_min_labels
 from polyquot.polytopes import (Polytope, are_isomorphic, dual, polytope_from_group,
@@ -162,6 +162,21 @@ def test_duality_pairs():
         assert d.symbol.entries == e.symbol.entries[::-1]
         assert d.expected_order == e.expected_order
         assert are_isomorphic(dual(e.polytope()), d.polytope())
+
+
+@pytest.mark.parametrize("entry", rank3_catalog(degenerate=True) + [dihedron(7), hosohedron(8)],
+                         ids=lambda e: e.name)
+def test_identified_dual_names_the_dual_polytope(entry):
+    # {2,2} is hosohedron(2) on both sides, and dihedron(7) and hosohedron(8)
+    # are past the catalog: unrecognized, of the reversed type
+    p = entry.polytope()
+    assert identified_dual(identify(p)) == identify(dual(p))
+
+
+def test_identified_dual_keeps_other_names():
+    assert identified_dual("unrecognized:{7,2}") == "unrecognized:{2,7}"
+    assert identified_dual("a group of order 12") == "a group of order 12"
+    assert identified_dual("dihedron(2)") == "hosohedron(2)"
 
 
 def test_ditope_over_hemicube():

@@ -12,12 +12,24 @@ from polyquot.coset import (CLOSED, EXCEEDED, CosetTable, RelatorMismatch,
                             coset_enumeration, perm_rep)
 from polyquot.presentations import Presentation, normalize_relators
 
-from oracles import (ReferenceEnumerator, mulclose, signed_permutation_group,
+from oracles import (ReferenceEnumerator, all_cyclic_forms, mulclose, signed_permutation_group,
                      full_icosahedral_order)
 
 
 def cox(*entries):
     return coxeter_presentation(SchlafliSymbol(tuple(entries)))
+
+
+def test_scans_read_every_cyclic_form_of_each_relator_once():
+    # edp[x] lists, sorted, each distinct rotation of a relator or of its
+    # reverse that starts with x, bound to the columns it reads
+    for pres in ([amalgam_presentation(c.amalgam()) for c in TABLE1]
+                 + [e.presentation() for e in rank3_catalog(degenerate=True)]):
+        e = coset._Enumerator(pres, 10)
+        forms = sorted(set().union(*map(all_cyclic_forms, normalize_relators(pres.relators))))
+        assert [[w for w, _ in row] for row in e.edp] == [
+            [w for w in forms if w[0] == x] for x in range(pres.rank)]
+        assert all(c is e.cols[x] for row in e.edp for w, wc in row for x, c in zip(w, wc))
 
 
 def test_cube_order_against_signed_permutations():

@@ -12,7 +12,8 @@ from polyquot.coset import coset_enumeration, lift_from_parabolics, perm_rep
 from polyquot.amalgam import classify_table1, twisted_over
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
                                  conjugates, enumerate_subgroups, enumerate_subgroups_within,
-                                 intersect, orbit_min_labels, product_set_intersect)
+                                 intersect, orbit_min_labels, product_set_intersect,
+                                 regular_from_action)
 from polyquot.polytopes import intersection_condition
 from polyquot.quotients import semisparse_allowed_mask
 
@@ -157,6 +158,24 @@ def test_certified_groups_pass_the_full_check():
             _assert_proved_regular(g.parabolic_group(js))
     for entry in rank3_catalog(degenerate=True):
         _assert_proved_regular(entry.group())
+
+
+@pytest.mark.parametrize("name", ["cube", "hemi-icosahedron", "dihedron(5)"])
+def test_one_point_base_numbers_as_a_tuple_does(name):
+    # a regular action on `order` points takes the base (0,); two copies of
+    # it side by side take a tuple, and the numbering is the same
+    g = entry_by_name(name).group()
+    rev, n = g.gens[::-1], g.order
+    one_point = regular_from_action(rev, n)
+    two_copies = regular_from_action([np.concatenate([p, p + n]) for p in rev], n)
+    _assert_proved_regular(one_point)
+    assert all(np.array_equal(a, b) for a, b in zip(one_point.gens, two_copies.gens))
+
+
+def test_one_point_orbit_short_of_the_order_is_refused():
+    # Klein's four-group on 4 points, intransitively: point 0's orbit is {0, 1}
+    perms = [np.array([1, 0, 2, 3]), np.array([0, 1, 3, 2])]
+    assert regular_from_action(perms, 4) is None
 
 
 def _coxeter_order(p, q):

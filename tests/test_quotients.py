@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyquot.amalgam import build_universal, case_spec, classify_table1
-from polyquot.catalog import entry_by_name, identify, rank3_catalog
+from polyquot.catalog import entry_by_name, identified_dual, identify, rank3_catalog
 from polyquot.permgroups import (BoundExceeded, MarkedGroup, conjugates, enumerate_subgroups,
                                  enumerate_subgroups_within,
                                  product_set_intersect)
@@ -239,6 +239,27 @@ def test_all_quotients_pass_axioms(ws):
         for r in ws.report(case).records:
             ok, why = is_polytopal(r.polytope.counts, r.polytope.mats)
             assert ok, why
+
+
+def _record_facts(r, dual=False):
+    """A quotient record's order, class size, regularity flags, facet and
+    vertex-figure classes, type and face counts; with `dual`, those of the
+    dual quotient: classes swapped and dualised, type and counts reversed."""
+    classes = [sorted(r.facet_classes.items()), sorted(r.vfig_classes.items())]
+    shape = [tuple(r.type_symbol), tuple(r.polytope.counts)]
+    if dual:
+        classes = [sorted((identified_dual(n), k) for n, k in c) for c in classes[::-1]]
+        shape = [t[::-1] for t in shape]
+    return (r.subgroup_order, r.class_size, r.is_regular, r.is_section_regular,
+            *map(tuple, classes), *shape)
+
+
+@pytest.mark.parametrize("case,partner", [(12, 10), (19, 13), (7, 7), (11, 11), (21, 21)])
+def test_dual_cases_have_dual_reports(ws, case, partner):
+    # {L*, K*} is {K, L} with its generators reversed, so its quotients are
+    # the duals of {K, L}'s; both reports are built directly
+    assert (Counter(_record_facts(r) for r in ws.report(case).records)
+            == Counter(_record_facts(r, dual=True) for r in ws.report(partner).records))
 
 
 def test_report_json_schema(ws):
