@@ -284,7 +284,9 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
     With stretch=True case 20 is enumerated over its facet subgroup (see
     `build_universal_over_facet`), and case 22 is derived from it when that
     run finds the polytope; its own facet-subgroup index, 600,415,200 / 60 =
-    10,006,920, is over the stretch budget.
+    10,006,920, is over STRETCH_MAX_COSETS.  `max_cosets` bounds every
+    enumeration, case 20's over its facet subgroup included: a stretch run
+    takes its budget from `RunConfig(stretch=True).max_cosets`.
     """
     out: dict[int, UniversalResult] = {}
     first_with_key = {}
@@ -297,8 +299,7 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
         if derived is not None:
             out[case.number] = derived
         elif case.number == 20 and stretch:
-            out[case.number] = build_universal_over_facet(
-                case, max_cosets=max(max_cosets, STRETCH_MAX_COSETS))
+            out[case.number] = build_universal_over_facet(case, max_cosets=max_cosets)
         elif case.number in LARGE_CASES:
             out[case.number] = UniversalResult(spec, EXCEEDED, cosets_defined=0)
         else:

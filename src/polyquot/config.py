@@ -16,8 +16,11 @@ class RunConfig:
     """Resource bounds, validated once when built.
 
     A max_cosets of None takes POLYQUOT_MAX_COSETS if it is set, else
-    DEFAULT_MAX_COSETS;
-    a stretch run raises the coset budget to at least STRETCH_MAX_COSETS.
+    STRETCH_MAX_COSETS for a stretch run and DEFAULT_MAX_COSETS otherwise.
+    The budget is decided here alone and bounds every enumeration of the
+    run, the stretch run's included: a given budget is kept even when it is
+    below STRETCH_MAX_COSETS, so that a bounded stretch run reports
+    exceeded-limit.
     """
 
     max_cosets: int | None = None
@@ -28,10 +31,9 @@ class RunConfig:
         if self.max_cosets is None:
             env = os.environ.get("POLYQUOT_MAX_COSETS")
             try:
-                self.max_cosets = int(env) if env else DEFAULT_MAX_COSETS
+                self.max_cosets = int(env) if env else (
+                    STRETCH_MAX_COSETS if self.stretch else DEFAULT_MAX_COSETS)
             except ValueError:
                 raise ValueError(f"POLYQUOT_MAX_COSETS is not an integer: {env!r}") from None
         if self.max_cosets < 1 or self.subgroup_order_bound < 1:
             raise ValueError("resource bounds must be positive")
-        if self.stretch:
-            self.max_cosets = max(self.max_cosets, STRETCH_MAX_COSETS)

@@ -34,6 +34,22 @@ edge's live end mu: a deduction at a coset merged away is skipped when
 popped, so one pushed at the dead end would leave the moved edge unscanned.
 An edge a coincidence keeps in place needs no new scan; the merge it causes
 instead moves the other coset's edges, each with its deduction.
+
+One loop.  `_Enumerator.run` is the whole closing phase: it binds its locals
+once, makes each definition, empties the deduction stack and walks each
+rotation of `edp[x]` inline.  A scan's forward walk mostly stops after a
+letter or two, because a Felsch table has few defined entries beyond the
+newest coset: in the first 200,000 definitions of case 20 over its facet
+subgroup, 1.18 million of 1.58 million scans stop after one letter.  A
+Python call per scan would cost more than the scan, so a scan reaches a
+Python call only through `_coincidence`, which is rare (66 times in those
+200,000 definitions).  Every rotation in `edp[x]` starts with x, so a
+deduction's first edge alpha·x is read once for all of them.  A deduction
+fills only entries that were undefined, so a defined alpha·x stays as it
+is until a coincidence, and an undefined one is read afresh by each scan
+from alpha.  After a coincidence alpha·x is read again: the coincidence can
+merge it away and move alpha's x-edge, and a value kept across it sends the
+scans that follow to a dead coset.
 """
 
 from __future__ import annotations
@@ -145,89 +161,116 @@ class _Enumerator:
                     self.ded_coset.append(mu)
                     self.ded_gen.append(x)
 
-    # -- scanning ---------------------------------------------------------
-
-    def _scan(self, alpha: int, word: Word, wc: tuple[array, ...], fill: bool = False):
-        """Scan `word`, whose columns are `wc`, from alpha forwards and
-        backwards.  A scan that closes gives a coincidence, one with a single
-        gap a deduction.  A longer gap gives nothing, unless `fill`: then the
-        next coset forward is defined and the scan runs again."""
-        while True:
-            f, i = alpha, 0
-            b, j = alpha, len(word) - 1
-            while i <= j:
-                nxt = wc[i][f]
-                if nxt == -1:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
-            while j >= i:
-                nxt = wc[j][b]
-                if nxt == -1:
-                    break
-                b = nxt
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
-            elif j == i:
-                col = wc[i]
-                col[f] = b
-                col[b] = f
-                self.ded_coset.append(f)
-                self.ded_gen.append(word[i])
-            elif fill:
-                self._define(f, word[i])
-                continue
-            return
-
-    def _define(self, alpha: int, x: int):
-        beta = len(self.p)
-        if beta >= self.max_cosets:
-            raise _Overflow
-        for col in self.cols:
-            col.append(-1)
-        self.p.append(beta)
-        self.cols[x][alpha] = beta
-        self.cols[x][beta] = alpha
-        self.ded_coset.append(alpha)
-        self.ded_gen.append(x)
-
-    def _process_deductions(self):
-        p, ded_coset, ded_gen, edp = self.p, self.ded_coset, self.ded_gen, self.edp
-        while ded_coset:
-            alpha = ded_coset.pop()
-            x = ded_gen.pop()
-            if p[alpha] != alpha:
-                continue
-            for w, wc in edp[x]:
-                self._scan(alpha, w, wc)
-                if p[alpha] != alpha:
-                    break
+    # -- the enumeration ---------------------------------------------------
 
     def run(self, subgroup_words) -> tuple[str, np.ndarray, int]:
-        p, cols = self.p, self.cols
-        try:
-            for w in subgroup_words:
-                if w:
-                    self._scan(0, w, self._columns(w), fill=True)
-                    self._process_deductions()
-            alpha = 0
-            while alpha < len(p):
-                if p[alpha] == alpha:
-                    for x, col in enumerate(cols):
-                        if p[alpha] != alpha:
+        """Fill each subgroup word in turn, then define the first undefined
+        entry of the first live coset until none is left, emptying the
+        deduction stack after each word and each such definition.
+
+        Each step scans a list of relator words from one coset a: the
+        rotations `edp[y]` for a deduction (a, y) popped from the stack, or
+        the subgroup word being filled, from coset 0.  A scan runs forwards
+        and backwards until it meets a gap.  One that closes gives a
+        coincidence, one with a single gap a deduction.  A longer gap gives
+        nothing, except in the word being filled: there the entry at the
+        gap is defined and the word is scanned again, with no deduction
+        scanned in between."""
+        p, cols, rank, max_cosets = self.p, self.cols, self.rank, self.max_cosets
+        ded_coset = self.ded_coset
+        pop_coset, pop_gen = ded_coset.pop, self.ded_gen.pop
+        push_coset, push_gen = ded_coset.append, self.ded_gen.append
+        coincidence = self._coincidence
+        # each rotation with the index of its last letter
+        scans = [[(w, wc, len(w) - 1) for w, wc in row] for row in self.edp]
+        words = [w for w in reversed(subgroup_words) if w]
+        word = None  # the subgroup word being filled
+        alpha = x = 0  # the next table entry the main loop looks at
+        n = len(p)
+        while True:
+            if word is not None or ded_coset:
+                if word is not None:
+                    a, y, rots = 0, word[0], ((word, self._columns(word), len(word) - 1),)
+                else:
+                    a = pop_coset()
+                    y = pop_gen()
+                    if p[a] != a:
+                        continue
+                    rots = scans[y]
+                d = -1
+                # every word in rots starts with y: walk its first edge once,
+                # and again after a coincidence, which may move it
+                ay = cols[y][a]
+                f0, i0 = (a, 0) if ay == -1 else (ay, 1)
+                for w, wc, j in rots:
+                    f, i = f0, i0
+                    while i <= j:
+                        nxt = wc[i][f]
+                        if nxt == -1:
                             break
-                        if col[alpha] == -1:
-                            self._define(alpha, x)
-                            self._process_deductions()
-                alpha += 1
-        except _Overflow:
-            return EXCEEDED, np.empty((0, self.rank), dtype=np.int32), len(p)
-        return CLOSED, self._live_table(), len(p)
+                        f = nxt
+                        i += 1
+                    else:
+                        if f != a:
+                            coincidence(f, a)
+                            if p[a] != a:
+                                break
+                            ay = cols[y][a]
+                            f0, i0 = (a, 0) if ay == -1 else (ay, 1)
+                        continue
+                    b = a
+                    while j >= i:
+                        nxt = wc[j][b]
+                        if nxt == -1:
+                            break
+                        b = nxt
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        if p[a] != a:
+                            break
+                        ay = cols[y][a]
+                        f0, i0 = (a, 0) if ay == -1 else (ay, 1)
+                    elif j == i:
+                        col = wc[i]
+                        col[f] = b
+                        col[b] = f
+                        push_coset(f)
+                        push_gen(w[i])
+                    elif word is not None:
+                        d, z = f, w[i]
+                if word is None:
+                    continue
+                if d == -1:
+                    word = None
+                    continue
+            elif words:
+                word = words.pop()
+                continue
+            else:
+                while alpha < n:
+                    if p[alpha] == alpha:
+                        while x < rank and cols[x][alpha] != -1:
+                            x += 1
+                        if x < rank:
+                            break
+                    alpha += 1
+                    x = 0
+                else:
+                    return CLOSED, self._live_table(), n
+                d, z = alpha, x
+                x += 1
+            if n >= max_cosets:
+                return EXCEEDED, np.empty((0, rank), dtype=np.int32), n
+            for col in cols:
+                col.append(-1)
+            p.append(n)
+            col = cols[z]
+            col[d] = n
+            col[n] = d
+            push_coset(d)
+            push_gen(z)
+            n += 1
 
     def _live_table(self) -> np.ndarray:
         """The live cosets' rows, renumbered 0, 1, ... in coset order."""
@@ -239,10 +282,6 @@ class _Enumerator:
         for x, col in enumerate(self.cols):
             table[:, x] = renum[np.frombuffer(col, dtype=np.int32)[live]]
         return table
-
-
-class _Overflow(Exception):
-    pass
 
 
 def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:

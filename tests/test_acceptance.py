@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the rows, or
 `polyquot verify` for the same table from the CLI.  The optional large-scale
-row (criterion 13) only runs when POLYQUOT_STRETCH=1; it takes about 70 s and
+row (criterion 13) only runs when POLYQUOT_STRETCH=1; it takes about 40 s and
 a 305 MB peak on a 2-core machine, and never fails the suite.
 """
 

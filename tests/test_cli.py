@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyquot.cli import main
+from polyquot.config import STRETCH_MAX_COSETS, RunConfig
 
 
 def run(capsys, *argv):
@@ -105,6 +106,36 @@ def test_env_var_overrides_max_cosets(capsys, monkeypatch):
     monkeypatch.setenv("POLYQUOT_MAX_COSETS", "100")
     code, out, _ = run(capsys, "build", "--facet", "cube", "--vfig", "hemi-icosahedron")
     assert code == 2
+
+
+@pytest.mark.parametrize("budget, env", [(("--max-cosets", "1000"), None), ((), "1000")])
+def test_stretch_run_keeps_a_given_coset_budget(capsys, monkeypatch, budget, env):
+    # the full stretch run enumerates 5,337,342 cosets; with a budget of 1000
+    # it stops at once, and an outcome other than exists fails no criterion
+    if env is not None:
+        monkeypatch.setenv("POLYQUOT_MAX_COSETS", env)
+    code, out, _ = run(capsys, "verify", "--case", "13", "--stretch", *budget)
+    assert code == 0
+    assert out == ("[FAIL] criterion 13: case 20 stretch outcome: "
+                   "expected 'exists', got 'exceeded-limit' (stretch)\n")
+
+
+def test_stretch_table1_keeps_a_given_coset_budget(capsys):
+    code, out, _ = run(capsys, "table1", "--stretch", "--max-cosets", "1000",
+                       "--format", "json")
+    assert code == 0
+    by_case = {r["case"]: r for r in json.loads(out)}
+    assert by_case[20]["outcome"] == by_case[22]["outcome"] == "exceeded-limit"
+
+
+@pytest.mark.parametrize("max_cosets, env, expected", [
+    (None, None, STRETCH_MAX_COSETS), (1000, None, 1000), (None, "1000", 1000),
+    (10**7, "1000", 10**7)])
+def test_stretch_budget_is_the_default_only(monkeypatch, max_cosets, env, expected):
+    monkeypatch.delenv("POLYQUOT_MAX_COSETS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("POLYQUOT_MAX_COSETS", env)
+    assert RunConfig(max_cosets=max_cosets, stretch=True).max_cosets == expected
 
 
 def test_quotients_case10_json(capsys):

@@ -1,8 +1,9 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyquot import coset
 from polyquot.amalgam import LARGE_CASES, TABLE1, amalgam_presentation, case_spec
@@ -165,9 +166,9 @@ def test_coincidence_at_a_dead_coset_keeps_its_deduction(entries, extra, order):
     assert perm_rep(_assert_matches_reference(pres)).order == order
 
 
-def _assert_matches_reference(pres, words=()):
-    table = coset_enumeration(pres, subgroup_words=words)
-    status, rows, defined = ReferenceEnumerator(pres, coset.DEFAULT_MAX_COSETS).run(words)
+def _assert_matches_reference(pres, words=(), max_cosets=coset.DEFAULT_MAX_COSETS):
+    table = coset_enumeration(pres, subgroup_words=words, max_cosets=max_cosets)
+    status, rows, defined = ReferenceEnumerator(pres, max_cosets).run(words)
     assert (table.status, table.cosets_defined) == (status, defined)
     assert table.table.tolist() == rows
     return table
@@ -197,6 +198,31 @@ def test_finite_symbols_against_reference_enumerator(symbol, data):
     words = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5)
                                .map(tuple), max_size=3))
     _assert_matches_reference(cox(*symbol).with_relators(petrie), words)
+
+
+@st.composite
+def _coxeter_plus_relator(draw):
+    """A rank-3 or rank-4 Coxeter presentation, one extra relator of 3-8
+    letters, and the trivial subgroup or a maximal parabolic."""
+    rank = draw(st.sampled_from([3, 4]))
+    entries = tuple(draw(st.integers(2, 6)) for _ in range(rank - 1))
+    extra = tuple(draw(st.lists(st.integers(0, rank - 1), min_size=3, max_size=8)))
+    drop = draw(st.sampled_from([None, *range(rank)]))
+    words = () if drop is None else tuple((j,) for j in range(rank) if j != drop)
+    return entries, extra, words
+
+
+@given(_coxeter_plus_relator())
+@settings(max_examples=150, deadline=None)
+# an enumerator that keeps alpha·x across a coincidence, after alpha·x has
+# been merged away, defines 10 cosets where these define 9, or breaks the
+# table of <s1>'s cosets
+@example(((4, 3), (2, 0, 1, 1, 2, 2, 0, 0), ()))
+@example(((5, 3), (0, 2, 2, 2, 0, 0, 1, 1), ()))
+@example(((5, 4, 4), (3, 0, 3, 3, 2, 1), ((1,),)))
+def test_coxeter_plus_relator_against_reference_enumerator(case):
+    entries, extra, words = case
+    _assert_matches_reference(cox(*entries).with_relators([extra]), words, max_cosets=3000)
 
 
 def _assert_edp_is_every_rotation(pres):
@@ -236,6 +262,19 @@ def test_case20_prefix_against_reference_enumerator():
     live = [a for a in range(20_000) if ref.p[a] == a]
     assert [a for a in range(20_000) if ours.p[a] == a] == live
     assert [[col[a] for col in ours.cols] for a in live] == [ref.table[a] for a in live]
+
+
+def test_case20_stretch_prefix_state():
+    # the stretch-prefix benchmark's enumeration, pinned so that a faster
+    # enumerator must do the same work: the parents and the four columns
+    # (native int32) at the 200,000-coset cut
+    pres = amalgam_presentation(case_spec(20).amalgam())
+    ours = coset._Enumerator(pres, 200_000)
+    status, _, defined = ours.run(CASE20_FACET_WORDS)
+    assert (status, defined) == (EXCEEDED, 200_000)
+    assert sum(ours.p[a] == a for a in range(defined)) == 199_925
+    digest = hashlib.sha256(b"".join(bytes(a) for a in (ours.p, *ours.cols))).hexdigest()
+    assert digest == "24a7aecb739fc72f5b1b0e9ff221a8d9fb978c64079a83ac4340daaada98b83c"
 
 
 def test_table_memory_per_coset():
