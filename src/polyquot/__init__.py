@@ -1,14 +1,13 @@
 """polyquot: rank-3/4 abstract regular polytopes, universal amalgams and
 their quotients."""
 
-from .presentations import Presentation, parse_presentation, format_presentation
+from .presentations import Presentation, format_presentation
 from .coset import CosetTable, coset_enumeration, perm_rep
 from .permgroups import (MarkedGroup, Subgroup, SubgroupClass, BoundExceeded,
-                         enumerate_subgroups, are_conjugate, conjugates,
-                         intersect, product_set_intersect)
+                         conjugates, product_set_intersect)
 from .catalog import (SchlafliSymbol, CatalogEntry, coxeter_presentation,
-                      with_petrie, central_quotient, rank3_catalog,
-                      dihedron, hosohedron, build_ditope, entry_by_name)
+                      central_quotient, rank3_catalog, dihedron, hosohedron,
+                      entry_by_name)
 from .polytopes import (Polytope, flag_graph_from_group, polytope_from_group,
                         is_polytopal, intersection_condition, section,
                         section_profile, is_regular, dual, are_isomorphic)

@@ -1,6 +1,6 @@
 """The rank-3 building blocks: spherical and projective polyhedra plus the
 degenerate dihedron/hosohedron families, with their presentations, realized
-groups and polytopes, the ditope construction, and naming by relators.
+groups and polytopes, and naming by relators.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class SchlafliSymbol:
     def rank(self) -> int:
         return len(self.entries) + 1
 
-    def reversed(self) -> "SchlafliSymbol":
-        return SchlafliSymbol(self.entries[::-1])
-
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.entries) + "}"
 
@@ -48,15 +45,6 @@ def coxeter_presentation(symbol: SchlafliSymbol) -> Presentation:
 
 def petrie_relator(r: int) -> Word:
     return power_word((0, 1, 2), r)
-
-
-def with_petrie(pres: Presentation, r: int) -> Presentation:
-    """Append the relator (s_0 s_1 s_2)^r to a rank-3 presentation."""
-    if pres.rank != 3:
-        raise ValueError("Petrie relator applies to rank-3 presentations")
-    if r < 2:
-        raise ValueError("Petrie length must be >= 2")
-    return pres.with_relators([petrie_relator(r)])
 
 
 @dataclass(frozen=True)
@@ -205,24 +193,6 @@ def central_quotient_group(entry: CatalogEntry) -> MarkedGroup:
         img_label = lab[g.rmul[gid][uniq]]
         gens.append(np.searchsorted(uniq, img_label).astype(np.int32))
     return MarkedGroup(len(uniq), gens)
-
-
-def ditope_group(facet: CatalogEntry) -> MarkedGroup:
-    """Group of the ditope over a rank-3 facet: the facet group Γ times the
-    swap of the two copies, as a rank-4 marked group acting regularly on the
-    2|Γ| points 2w + c, w an element of Γ and c a copy.  Γ's generators
-    right-multiply w and the swap flips c."""
-    if facet.symbol.rank != 3:
-        raise ValueError("ditope needs a rank-3 facet")
-    g = facet.group()
-    pts = np.arange(2 * g.order)
-    w, c = np.divmod(pts, 2)
-    return MarkedGroup(len(pts), [2 * s[w] + c for s in g.gens] + [pts ^ 1])
-
-
-def build_ditope(facet: CatalogEntry) -> Polytope:
-    """Rank-4 ditope {p,q,2}: two copies of a rank-3 facet glued facewise."""
-    return polytope_from_group(ditope_group(facet))
 
 
 # -- identification of small polytopes against the catalog -------------------

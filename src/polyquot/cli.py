@@ -240,6 +240,8 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     cfg = _config(args)
     if args.entry:
+        if args.facet or args.vfig or args.max_cosets is not None:
+            raise UsageError("export --entry reads no --facet, --vfig or --max-cosets")
         try:
             p = catalog.entry_by_name(args.entry).polytope()
         except KeyError as e:

@@ -276,7 +276,7 @@ def _proved_regular(degree: int, gens) -> "MarkedGroup":
     regularly, so it skips the regularity check; an action over the order
     limit is still refused with BoundExceeded when first used."""
     g = MarkedGroup(degree, gens)
-    g._regular = degree <= g.order_limit
+    g._regular = degree <= DEFAULT_ORDER_LIMIT
     return g
 
 
@@ -303,7 +303,7 @@ class MarkedGroup:
     """A group's right-regular action, with ordered distinguished involutory
     generators: element j is the one sending point 0 to j."""
 
-    def __init__(self, degree: int, gens, order_limit: int = DEFAULT_ORDER_LIMIT):
+    def __init__(self, degree: int, gens):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.degree = degree
@@ -311,7 +311,6 @@ class MarkedGroup:
         for i, g in enumerate(self.gens):
             if not is_involution(g):
                 raise ValueError(f"generator {i} does not square to the identity")
-        self.order_limit = order_limit
         self._regular = False      # set by _check_regular, or by a constructor's proof
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j = elem_j[i]
         self._inv = None
@@ -333,9 +332,9 @@ class MarkedGroup:
         if self._regular:
             return
         n = self.degree
-        if n > self.order_limit:
+        if n > DEFAULT_ORDER_LIMIT:
             raise BoundExceeded(
-                f"a regular action on {n} points exceeds enumeration limit {self.order_limit}")
+                f"a regular action on {n} points exceeds enumeration limit {DEFAULT_ORDER_LIMIT}")
         cols = np.empty((self.rank, n), dtype=np.int32)
         cols[:, 0] = [s[0] for s in self.gens]
         reached = 1
@@ -468,10 +467,6 @@ class MarkedGroup:
         R = self.rmul
         return _orbit_of_zero([R[int(g)] for g in gen_ids], self.degree)
 
-    def subgroup(self, gen_ids) -> "Subgroup":
-        gen_ids = tuple(int(g) for g in gen_ids)
-        return Subgroup(self, self.closure_ids(gen_ids), gen_ids)
-
 
 @dataclass
 class Subgroup:
@@ -494,12 +489,6 @@ class Subgroup:
 
 # ---------------------------------------------------------------------------
 # group operations
-
-
-def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    if h1.parent is not h2.parent:
-        raise ValueError("subgroups have different parent groups")
-    return Subgroup(h1.parent, np.intersect1d(h1.elem_ids, h2.elem_ids))
 
 
 def product_set_intersect(h: Subgroup, a: Subgroup, b: Subgroup) -> np.ndarray:
@@ -528,19 +517,6 @@ def _class_transversal(g: MarkedGroup, sub: Subgroup) -> np.ndarray:
     R = g.rmul
     lab = orbit_min_labels([R[:, int(h)] for h in sub.gen_ids or sub.elem_ids], g.order)
     return np.unique(lab)
-
-
-def are_conjugate(g: MarkedGroup, h1: Subgroup, h2: Subgroup):
-    """(True, witness id) if some x conjugates h1 onto h2, else (False, None)."""
-    if h1.order != h2.order:
-        return False, None
-    trans = _class_transversal(g, h1)
-    rows = _conjugate_class_rows(g, h1.elem_ids, trans)
-    target = h2.elem_ids.astype(rows.dtype)
-    hits = np.flatnonzero((rows == target).all(axis=1))
-    if hits.size:
-        return True, int(trans[hits[0]])
-    return False, None
 
 
 def conjugates(g: MarkedGroup, h: Subgroup) -> list[Subgroup]:
@@ -600,9 +576,17 @@ def require_subgroup_bound(g: MarkedGroup, order_bound: int):
             f"group order {g.order} exceeds subgroup-enumeration bound {order_bound}")
 
 
-def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[SubgroupClass]:
-    """Index-2 extensions from every class, odd-zuppo joins from the
-    odd-generated ones (see the module docstring)."""
+def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
+                               order_bound: int = DEFAULT_SUBGROUP_BOUND) -> list[SubgroupClass]:
+    """One representative per conjugacy class of the subgroups whose elements
+    all lie in the `allowed` mask, with class sizes, listed by (order,
+    elements); a representative is the lexicographically least sorted
+    element-id list of its class.  The mask must be closed under conjugation,
+    and a subgroup of an allowed subgroup is allowed, so index-2 extensions
+    from every class and odd-zuppo joins from the odd-generated ones reach
+    every class inside it (see the module docstring)."""
+    if not allowed[0]:
+        raise ValueError("the identity must be allowed")
     require_subgroup_bound(g, order_bound)
     R = g.rmul
     n = g.order
@@ -683,26 +667,3 @@ def _lattice(g: MarkedGroup, order_bound: int, allowed: np.ndarray) -> list[Subg
 
     order_key = sorted(range(len(reps)), key=lambda c: (len(reps[c]), tuple(reps[c])))
     return [SubgroupClass(Subgroup(g, reps[c], rep_gens[c]), sizes[c]) for c in order_key]
-
-
-def enumerate_subgroups(g: MarkedGroup, order_bound: int = DEFAULT_SUBGROUP_BOUND) -> list[SubgroupClass]:
-    """One representative per conjugacy class of subgroups, with class sizes.
-
-    Representatives are the lexicographically least sorted element-id lists of
-    their classes, listed by (order, elements).
-    """
-    return _lattice(g, order_bound, np.ones(g.order, dtype=bool))
-
-
-def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
-                               order_bound: int = DEFAULT_SUBGROUP_BOUND) -> list[SubgroupClass]:
-    """Subgroup classes whose elements all lie in the `allowed` mask, in the
-    order of `enumerate_subgroups`: by (order, representative element ids).
-
-    The mask must be closed under conjugation; subsets of allowed subgroups
-    are allowed, so the search runs the same extension/join moves restricted
-    to the allowed universe without losing any such subgroup.
-    """
-    if not allowed[0]:
-        raise ValueError("the identity must be allowed")
-    return _lattice(g, order_bound, allowed)

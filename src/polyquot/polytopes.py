@@ -12,9 +12,7 @@ regular exactly when flag 0 and each of its rank neighbours have the same
 certificate: the automorphism orbit of flag 0 is then closed under every
 adjacency and, the flag graph being connected, holds every flag.  That test
 takes rank+1 BFS runs.  A regular polytope's canonical certificate is the run
-from flag 0 and its automorphism group order is the flag count; only a
-non-regular polytope minimises over all start flags, and its automorphism
-group order is the number of starts tied with flag 0.
+from flag 0; only a non-regular polytope minimises over all start flags.
 """
 
 from __future__ import annotations
@@ -126,7 +124,6 @@ class Polytope:
             self.mats.append(m)
         self._regular = None
         self._cert = None
-        self._aut = None
 
     @property
     def rank(self) -> int:
@@ -155,22 +152,14 @@ class Polytope:
 
     # -- certificates -----------------------------------------------------
 
-    def _certificates(self):
-        """(canonical certificate, automorphism group order), computed once."""
-        if self._cert is None and not is_regular(self):
-            adj = [a.tolist() for a in self.adj]
-            certs = [_certificate_from(adj, s) for s in range(self.n_flags)]
-            self._cert = _cert_header(self) + min(certs)
-            self._aut = certs.count(certs[0])
-        return self._cert, self._aut
-
     @property
     def certificate(self) -> bytes:
-        return self._certificates()[0]
-
-    @property
-    def aut_order(self) -> int:
-        return self._certificates()[1]
+        """The canonical certificate, computed once."""
+        if self._cert is None and not is_regular(self):
+            adj = [a.tolist() for a in self.adj]
+            self._cert = _cert_header(self) + min(_certificate_from(adj, s)
+                                                  for s in range(self.n_flags))
+        return self._cert
 
     def schlafli_type(self) -> tuple[int, ...]:
         """Orders of the products r_{i-1} r_i on flags (the polygon orders):
@@ -321,7 +310,7 @@ def is_regular(p: Polytope) -> bool:
         base = _certificate_from(adj, 0) if adj else b""
         p._regular = all(_certificate_from(adj, a[0]) == base for a in adj)
         if p._regular:
-            p._cert, p._aut = _cert_header(p) + base, p.n_flags
+            p._cert = _cert_header(p) + base
     return p._regular
 
 

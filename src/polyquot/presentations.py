@@ -29,11 +29,6 @@ class Presentation:
         """New presentation with additional relators appended."""
         return Presentation(self.rank, self.relators + tuple(tuple(w) for w in extra))
 
-    def shifted(self, offset: int, rank: int) -> "Presentation":
-        """Reindex generators by `offset` into a presentation of larger rank."""
-        rels = tuple(tuple(g + offset for g in rel) for rel in self.relators)
-        return Presentation(rank, rels)
-
 
 def power_word(base: Word, exponent: int) -> Word:
     return tuple(base) * exponent
@@ -76,29 +71,3 @@ def format_presentation(pres: Presentation, comment: str | None = None) -> str:
     for rel in pres.relators:
         lines.append("rel " + " ".join(str(g) for g in rel))
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Parse the `rank` / `rel` text format; `#` starts a comment."""
-    rank = None
-    relators = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "rank":
-            if rank is not None:
-                raise ValueError(f"line {lineno}: duplicate rank line")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected `rank n`")
-            rank = int(fields[1])
-        elif fields[0] == "rel":
-            if rank is None:
-                raise ValueError(f"line {lineno}: `rel` before `rank`")
-            relators.append(tuple(int(f) for f in fields[1:]))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {fields[0]!r}")
-    if rank is None:
-        raise ValueError("missing `rank` line")
-    return Presentation(rank, tuple(relators))

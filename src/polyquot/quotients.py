@@ -145,13 +145,8 @@ def _defect(q: Polytope) -> str | None:
     return None
 
 
-def semisparse_diagnostic(g: MarkedGroup, n: Subgroup) -> str | None:
-    """None if semisparse; otherwise the first failed requirement."""
-    return _defect(quotient_candidate(g, n.elem_ids)[0])
-
-
 def is_semisparse(g: MarkedGroup, n: Subgroup) -> bool:
-    return semisparse_diagnostic(g, n) is None
+    return _defect(quotient_candidate(g, n.elem_ids)[0]) is None
 
 
 def quotient_polytope(g: MarkedGroup, n: Subgroup) -> Polytope:

@@ -15,6 +15,7 @@ from .amalgam import (EXISTS, COLLAPSED, NOT_POLYTOPAL, amalgam_presentation,
                       derive_reversed, twisted_over)
 from .config import RunConfig
 from .coset import EXCEEDED, broken_relator
+from .permgroups import BoundExceeded
 from .polytopes import (are_isomorphic, dual, is_polytopal, is_regular,
                         polytope_from_group, section)
 from .quotients import classify_quotients, quotient_polytope, semisparse_classes
@@ -65,11 +66,21 @@ class Workspace:
         self._universal = {}
         self._report = {}
 
-    def universal(self, case: int):
+    def build(self, case: int):
+        """The case's build, whatever its outcome."""
         if case not in self._universal:
             self._universal[case] = build_universal(
                 case_spec(case).amalgam(), max_cosets=self.config.max_cosets)
         return self._universal[case]
+
+    def universal(self, case: int):
+        """The case's build, for a criterion that needs its group or
+        polytope: BoundExceeded names a case that hit the coset budget."""
+        r = self.build(case)
+        if r.outcome == EXCEEDED:
+            raise BoundExceeded(f"case {case}: coset enumeration exceeded the limit "
+                                f"of {self.config.max_cosets} cosets")
+        return r
 
     def report(self, case: int):
         if case not in self._report:
@@ -103,7 +114,7 @@ def criterion_2(ws: Workspace) -> list[CheckRow]:
     """The cube's semisparse classes and quotients."""
     g = catalog.entry_by_name("cube").group()
     p = polytope_from_group(g)
-    classes = semisparse_classes(g)
+    classes = semisparse_classes(g, ws.config.subgroup_order_bound)
     rows = [CheckRow(2, "cube semisparse class count", 4, len(classes))]
     profile = sorted((c.order, c.size, c.size == 1) for c in classes)
     rows.append(CheckRow(2, "cube semisparse classes (order, size, normal)",
@@ -128,7 +139,8 @@ def criterion_2(ws: Workspace) -> list[CheckRow]:
 def criterion_3(ws: Workspace) -> list[CheckRow]:
     """The hemicube has no proper quotients."""
     g = catalog.entry_by_name("hemicube").group()
-    return [CheckRow(3, "hemicube quotient count", 1, len(semisparse_classes(g)))]
+    return [CheckRow(3, "hemicube quotient count", 1,
+                     len(semisparse_classes(g, ws.config.subgroup_order_bound)))]
 
 
 def criterion_4(ws: Workspace) -> list[CheckRow]:
@@ -229,11 +241,11 @@ def criterion_9(ws: Workspace) -> list[CheckRow]:
     """Nonexistence: collapses, including the two that collapse to the 11-cell."""
     rows = []
     for case in (1, 2, 3, 4, 5, 14, 15):
-        r = ws.universal(case)
+        r = ws.build(case)
         rows.append(CheckRow(9, f"case {case} reports no polytope", True,
                              r.outcome in (COLLAPSED, NOT_POLYTOPAL)))
     for case in (6, 8):
-        r = ws.universal(case)
+        r = ws.build(case)
         rows.append(CheckRow(9, f"case {case} collapses", COLLAPSED, r.outcome))
         rows.append(CheckRow(9, f"case {case} collapsed group is the 11-cell's", 660, r.order))
     return rows
@@ -264,8 +276,7 @@ def criterion_11(ws: Workspace) -> list[CheckRow]:
     """Finiteness at implemented scale: every case 1-19, 21 closes."""
     closed = True
     for case in list(range(1, 20)) + [21]:
-        r = ws.universal(case)
-        closed &= (r.outcome != EXCEEDED)
+        closed &= (ws.build(case).outcome != EXCEEDED)
     return [CheckRow(11, "cases 1-19, 21 close under default bounds", True, closed)]
 
 

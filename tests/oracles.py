@@ -5,7 +5,8 @@ deliberately separate from the library's table-based algorithms so the two
 routes can disagree.  The exceptions are earlier library code kept as
 references: the list-of-lists coset enumerator, the quotient search's
 weaker element mask, which reads a group's multiplication table, and the
-table's unchunked composition.
+table's unchunked composition; and, at the end, tools built on the library
+that only tests use.
 """
 
 import copy
@@ -16,7 +17,10 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from polyquot.permgroups import _bfs_tree
+from polyquot.permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup, _bfs_tree,
+                                 _class_transversal, _conjugate_class_rows,
+                                 enumerate_subgroups_within)
+from polyquot.polytopes import _certificate_from, is_regular
 from polyquot.presentations import Presentation, Word, normalize_relators
 
 
@@ -588,3 +592,60 @@ def all_cyclic_forms(word) -> set:
 def least_cyclic_form(word):
     """The least of `all_cyclic_forms`, the word itself when it is empty."""
     return min(all_cyclic_forms(word), default=tuple(word))
+
+
+# ---------------------------------------------------------------------------
+# tools built on the library, used by tests only
+
+
+def subgroup(g, gen_ids):
+    """The Subgroup of a MarkedGroup generated by the given element ids."""
+    gen_ids = tuple(int(x) for x in gen_ids)
+    return Subgroup(g, g.closure_ids(gen_ids), gen_ids)
+
+
+def enumerate_subgroups(g, order_bound=DEFAULT_SUBGROUP_BOUND):
+    """One representative per conjugacy class of subgroups, with class sizes:
+    `enumerate_subgroups_within` over an all-true mask."""
+    return enumerate_subgroups_within(g, np.ones(g.order, dtype=bool), order_bound)
+
+
+def are_conjugate(g, h1, h2):
+    """(True, witness id) if some x conjugates h1 onto h2, else (False, None)."""
+    if h1.order != h2.order:
+        return False, None
+    trans = _class_transversal(g, h1)
+    rows = _conjugate_class_rows(g, h1.elem_ids, trans)
+    target = h2.elem_ids.astype(rows.dtype)
+    hits = np.flatnonzero((rows == target).all(axis=1))
+    if hits.size:
+        return True, int(trans[hits[0]])
+    return False, None
+
+
+def ditope_group(facet):
+    """Group of the ditope over a rank-3 catalog facet: the facet group Γ
+    times the swap of the two copies, as a rank-4 marked group acting
+    regularly on the 2|Γ| points 2w + c, w an element of Γ and c a copy.
+    Γ's generators right-multiply w and the swap flips c."""
+    g = facet.group()
+    pts = np.arange(2 * g.order)
+    w, c = np.divmod(pts, 2)
+    return MarkedGroup(len(pts), [2 * s[w] + c for s in g.gens] + [pts ^ 1])
+
+
+def aut_order(p):
+    """|Aut(p)|: the flag count when p is regular, else the number of start
+    flags whose certificate run equals flag 0's."""
+    if is_regular(p):
+        return p.n_flags
+    adj = [a.tolist() for a in p.adj]
+    base = _certificate_from(adj, 0)
+    return sum(_certificate_from(adj, s) == base for s in range(p.n_flags))
+
+
+def read_presentation(text):
+    """The `rank` and `rel` lines of the presentation text format, read back."""
+    fields = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    rank = next(int(f[1]) for f in fields if f[0] == "rank")
+    return Presentation(rank, tuple(tuple(map(int, f[1:])) for f in fields if f[0] == "rel"))

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from polyquot.catalog import rank3_catalog
 from polyquot.cli import main
 from polyquot.config import STRETCH_MAX_COSETS, RunConfig
+from polyquot.coset import coset_enumeration
+
+from oracles import read_presentation
 
 
 def run(capsys, *argv):
@@ -196,12 +200,13 @@ def test_export_needs_target(capsys):
 def test_dump_presentations_roundtrip(tmp_path, capsys):
     code, _, _ = run(capsys, "dump-presentations", "--output-dir", str(tmp_path))
     assert code == 0
-    from polyquot.presentations import parse_presentation
-    from polyquot.coset import coset_enumeration
-
-    text = (tmp_path / "hemicube.pres").read_text()
-    pres = parse_presentation(text)
-    assert coset_enumeration(pres).n_cosets == 24
+    entries = {e.name.replace("(", "_").replace(")", "") + ".pres": e
+               for e in rank3_catalog(degenerate=True)}
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(entries) and len(entries) == 19
+    for fname, e in entries.items():
+        pres = read_presentation((tmp_path / fname).read_text())
+        assert pres == e.presentation(), fname
+        assert coset_enumeration(pres).n_cosets == e.expected_order, fname
 
 
 def test_output_path(tmp_path, capsys):
@@ -264,6 +269,8 @@ CASE10 = ("--facet", "cube", "--vfig", "hemicross")
     ("export", "--entry", "hemicube", "--subgroup-bound", "5"),
     ("export", "--entry", "hemicube", "--stretch"),
     ("export", "--entry", "hemicube", "--format", "text"),
+    ("export", "--entry", "cube", *CASE10),
+    ("export", "--entry", "cube", "--max-cosets", "5"),
 ], ids=lambda argv: " ".join(a for a in argv if a not in CASE10))
 def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -280,6 +287,20 @@ def test_quotients_case10_dot(capsys):
     code, out, _ = run(capsys, "quotients", *CASE10, "--format", "dot")
     assert code == 0 and out.startswith("digraph quotients")
     assert sum("[label=" in line for line in out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("criterion", [4, 5, 6, 7, 8, 10, 12])
+def test_verify_criterion_over_the_coset_budget_is_a_bound(capsys, criterion):
+    code, out, err = run(capsys, "verify", "--case", str(criterion), "--max-cosets", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("bound exceeded: case ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("criterion", [2, 3])
+def test_verify_cube_criteria_keep_the_subgroup_bound(capsys, criterion):
+    code, out, err = run(capsys, "verify", "--case", str(criterion), "--subgroup-bound", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("bound exceeded: group order ")
 
 
 def test_quotients_exceeded_coset_budget(capsys):

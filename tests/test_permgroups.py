@@ -6,20 +6,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyquot import permgroups
-from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, ditope_group, entry_by_name,
+from polyquot.catalog import (SchlafliSymbol, coxeter_presentation, entry_by_name,
                               petrie_relator, rank3_catalog)
 from polyquot.coset import coset_enumeration, lift_from_parabolics, perm_rep
 from polyquot.amalgam import classify_table1, twisted_over
-from polyquot.permgroups import (BoundExceeded, MarkedGroup, are_conjugate,
-                                 conjugates, enumerate_subgroups, enumerate_subgroups_within,
-                                 intersect, orbit_min_labels, product_set_intersect,
-                                 regular_from_action)
+from polyquot.permgroups import (BoundExceeded, MarkedGroup, conjugates,
+                                 enumerate_subgroups_within, orbit_min_labels,
+                                 product_set_intersect, regular_from_action)
 from polyquot.polytopes import intersection_condition
 from polyquot.quotients import semisparse_allowed_mask
 
 import oracles
-from oracles import (brute_force_products, brute_force_subgroups,
-                     conjugacy_partition, mulclose, orbit_minima, perm_mul)
+from oracles import (are_conjugate, brute_force_products, brute_force_subgroups,
+                     conjugacy_partition, ditope_group, enumerate_subgroups, mulclose,
+                     orbit_minima, perm_mul, subgroup)
 
 
 def realize(entries, petrie=None):
@@ -54,18 +54,20 @@ def test_group_order_examples(ws):
     assert ws.universal(10).group.order == 192
 
 
-def test_order_limit():
+def test_order_limit(monkeypatch):
     g = entry_by_name("dodecahedron").group()
-    small = MarkedGroup(g.degree, g.gens, order_limit=10)
+    monkeypatch.setattr(permgroups, "DEFAULT_ORDER_LIMIT", 10)
     with pytest.raises(BoundExceeded):
-        small.order
+        MarkedGroup(g.degree, g.gens).order
 
 
-def test_order_limit_is_exact():
+def test_order_limit_is_exact(monkeypatch):
     tet = entry_by_name("tetrahedron").group()
-    assert MarkedGroup(tet.degree, tet.gens, order_limit=24).order == 24
+    monkeypatch.setattr(permgroups, "DEFAULT_ORDER_LIMIT", 24)
+    assert MarkedGroup(tet.degree, tet.gens).order == 24
+    monkeypatch.setattr(permgroups, "DEFAULT_ORDER_LIMIT", 23)
     with pytest.raises(BoundExceeded):
-        MarkedGroup(tet.degree, tet.gens, order_limit=23).order
+        MarkedGroup(tet.degree, tet.gens).order
 
 
 def test_twisted_over_a_large_domain_builds_nothing():
@@ -355,8 +357,8 @@ def test_enumerate_subgroups_canonical_order(cube):
 
 def test_are_conjugate_xy_yz(cube, cube_xyz):
     x, y, z = cube_xyz
-    hxy = cube.subgroup([cube.mul(x, y)])
-    hyz = cube.subgroup([cube.mul(y, z)])
+    hxy = subgroup(cube, [cube.mul(x, y)])
+    hyz = subgroup(cube, [cube.mul(y, z)])
     ok, witness = are_conjugate(cube, hxy, hyz)
     assert ok
     conj = np.sort(cube.conj(hxy.elem_ids, witness))
@@ -365,7 +367,7 @@ def test_are_conjugate_xy_yz(cube, cube_xyz):
 
 def test_are_conjugate_self(cube, cube_xyz):
     x, y, _ = cube_xyz
-    h = cube.subgroup([cube.mul(x, y)])
+    h = subgroup(cube, [cube.mul(x, y)])
     ok, witness = are_conjugate(cube, h, h)
     assert ok
 
@@ -373,8 +375,8 @@ def test_are_conjugate_self(cube, cube_xyz):
 def test_not_conjugate_same_order(cube, cube_xyz):
     # <xy> and <xyz> both have order 2; decided by exhaustive conjugation
     x, y, z = cube_xyz
-    hxy = cube.subgroup([cube.mul(x, y)])
-    hxyz = cube.subgroup([cube.mul(cube.mul(x, y), z)])
+    hxy = subgroup(cube, [cube.mul(x, y)])
+    hxyz = subgroup(cube, [cube.mul(cube.mul(x, y), z)])
     assert hxy.order == hxyz.order == 2
     ok, _ = are_conjugate(cube, hxy, hxyz)
     assert not ok
@@ -386,27 +388,27 @@ def test_not_conjugate_same_order(cube, cube_xyz):
 def test_conjugates_counts(cube, cube_xyz):
     x, y, z = cube_xyz
     xyz = cube.mul(cube.mul(x, y), z)
-    assert len(conjugates(cube, cube.subgroup([xyz]))) == 1  # central
-    assert len(conjugates(cube, cube.subgroup([]))) == 1
-    assert len(conjugates(cube, cube.subgroup([cube.mul(x, y)]))) == 3
+    assert len(conjugates(cube, subgroup(cube, [xyz]))) == 1  # central
+    assert len(conjugates(cube, subgroup(cube, []))) == 1
+    assert len(conjugates(cube, subgroup(cube, [cube.mul(x, y)]))) == 3
 
 
 def test_intersections(cube, cube_xyz):
     x, y, z = cube_xyz
-    hxy = cube.subgroup([cube.mul(x, y)])
-    hyz = cube.subgroup([cube.mul(y, z)])
-    assert intersect(hxy, hxy).order == 2
-    assert intersect(hxy, hyz).order == 1
-    whole = cube.subgroup(cube.gen_ids)
+    hxy = subgroup(cube, [cube.mul(x, y)])
+    hyz = subgroup(cube, [cube.mul(y, z)])
+    assert len(np.intersect1d(hxy.elem_ids, hxy.elem_ids)) == 2
+    assert len(np.intersect1d(hxy.elem_ids, hyz.elem_ids)) == 1
+    whole = subgroup(cube, cube.gen_ids)
     assert list(product_set_intersect(hxy, whole, whole)) == list(hxy.elem_ids)
 
 
 def test_product_set_is_a_set_not_a_group(cube):
     # <s0> * <s1> has 4 elements but is not a subgroup; intersecting the
     # whole group with it just returns those 4 products
-    a = cube.subgroup([cube.gen_ids[0]])
-    b = cube.subgroup([cube.gen_ids[1]])
-    whole = cube.subgroup(cube.gen_ids)
+    a = subgroup(cube, [cube.gen_ids[0]])
+    b = subgroup(cube, [cube.gen_ids[1]])
+    whole = subgroup(cube, cube.gen_ids)
     prods = product_set_intersect(whole, a, b)
     assert len(prods) == 4
 
@@ -429,7 +431,7 @@ def test_conjugacy_is_equivalence_on_cube_classes(cube):
 def test_class_size_divides_order(symbol, data):
     g = realize(list(symbol))
     seed = data.draw(st.lists(st.integers(1, g.order - 1), min_size=1, max_size=2))
-    h = g.subgroup(seed)
+    h = subgroup(g, seed)
     cls = conjugates(g, h)
     assert g.order % len(cls) == 0
     for c in cls:
@@ -478,9 +480,9 @@ def test_semisparse_mask_lattice_against_brute_force(ws, case, subgroups, classe
 
 def test_conjugacy_transitive(cube, cube_xyz):
     x, y, z = cube_xyz
-    h1 = cube.subgroup([cube.mul(x, y)])
-    h2 = cube.subgroup([cube.mul(y, z)])
-    h3 = cube.subgroup([cube.mul(x, z)])
+    h1 = subgroup(cube, [cube.mul(x, y)])
+    h2 = subgroup(cube, [cube.mul(y, z)])
+    h3 = subgroup(cube, [cube.mul(x, z)])
     assert are_conjugate(cube, h1, h2)[0]
     assert are_conjugate(cube, h2, h3)[0]
     assert are_conjugate(cube, h1, h3)[0]

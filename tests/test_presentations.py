@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyquot.presentations import (Presentation, cyclic_forms, format_presentation,
-                                    parse_presentation, power_word)
+from polyquot.presentations import Presentation, cyclic_forms, format_presentation, power_word
 
-from oracles import all_cyclic_forms
+from oracles import all_cyclic_forms, read_presentation
 
 
 def test_power_word():
@@ -38,25 +37,4 @@ def test_validation():
 def test_roundtrip():
     pres = Presentation(3, ((0, 1, 0, 1), (1, 2, 1, 2, 1, 2), (0, 2, 0, 2)))
     text = format_presentation(pres, comment="a string group")
-    back = parse_presentation(text)
-    assert back == pres
-
-
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_presentation("rel 0 1\nrank 2\n")
-    with pytest.raises(ValueError):
-        parse_presentation("rank 2\nfoo 1\n")
-    with pytest.raises(ValueError):
-        parse_presentation("# nothing\n")
-
-
-def test_comments_and_whitespace():
-    pres = parse_presentation("# c\n rank 2 \n\nrel 0 1 0 1  # inline\n")
-    assert pres.rank == 2
-    assert pres.relators == ((0, 1, 0, 1),)
-
-
-def test_shifted():
-    pres = Presentation(3, ((0, 1, 0, 1),))
-    assert pres.shifted(1, 4).relators == ((1, 2, 1, 2),)
+    assert read_presentation(text) == pres
