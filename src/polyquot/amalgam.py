@@ -23,7 +23,6 @@ import numpy as np
 
 from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation, identified_dual
-from .config import STRETCH_MAX_COSETS
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, lift_from_parabolics, perm_rep
 from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
 from .polytopes import Polytope, intersection_condition, polytope_from_group
@@ -284,9 +283,10 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
     With stretch=True case 20 is enumerated over its facet subgroup (see
     `build_universal_over_facet`), and case 22 is derived from it when that
     run finds the polytope; its own facet-subgroup index, 600,415,200 / 60 =
-    10,006,920, is over STRETCH_MAX_COSETS.  `max_cosets` bounds every
-    enumeration, case 20's over its facet subgroup included: a stretch run
-    takes its budget from `RunConfig(stretch=True).max_cosets`.
+    10,006,920, is over STRETCH_MAX_COSETS.  `max_cosets`, the run's
+    `RunConfig.max_cosets`, bounds every enumeration, case 20's included;
+    `table1 --stretch` and verify's criterion 13 both read cases 20 and 22
+    from here.
     """
     out: dict[int, UniversalResult] = {}
     first_with_key = {}
@@ -346,8 +346,7 @@ def derive_reversed(spec: AmalgamSpec, partner: UniversalResult) -> UniversalRes
     return None
 
 
-def build_universal_over_facet(case: CaseSpec,
-                               max_cosets: int = STRETCH_MAX_COSETS) -> UniversalResult:
+def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResult:
     """Enumerate a large case over its facet subgroup (cosets = facets).
 
     The group order is index times the facet group order.  That needs the
@@ -356,7 +355,8 @@ def build_universal_over_facet(case: CaseSpec,
     act pairwise distinctly on the cosets, which also certifies that the
     parabolic is uncollapsed.  When the words are not pairwise distinct the
     method cannot tell collapse from an unfaithful action and the outcome is
-    reported as `inconclusive` rather than guessed.
+    reported as `inconclusive` rather than guessed.  An enumeration over
+    `max_cosets`, which every caller sets, reports exceeded-limit.
     """
     spec = case.amalgam()
     pres = amalgam_presentation(spec)
@@ -390,14 +390,15 @@ def build_universal_over_facet(case: CaseSpec,
 
 
 def _element_words(g: MarkedGroup) -> list[tuple[int, ...]]:
-    """A word in the distinguished generators for every element, by BFS."""
+    """A word in the distinguished generators for every element, by BFS on
+    the regular action: x times generator i is gens[i][x], read with no table."""
     words = {0: ()}
     queue = [0]
     while queue:
         nxt = []
         for x in queue:
-            for i, gid in enumerate(g.gen_ids):
-                y = int(g.mul(x, gid))
+            for i, s in enumerate(g.gens):
+                y = int(s[x])
                 if y not in words:
                     words[y] = words[x] + (i,)
                     nxt.append(y)

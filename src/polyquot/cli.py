@@ -220,9 +220,10 @@ def cmd_table1(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     only = args.case
-    if only is not None and only not in CRITERIA and not (only == 13 and cfg.stretch):
-        raise UsageError(f"no criterion {only}: choose {min(CRITERIA)}-{max(CRITERIA)}, "
-                         "or 13 with --stretch")
+    # criterion 13 is the stretch run: --case 13 needs --stretch, no other --case takes it
+    if only is not None and (only not in CRITERIA or (only == 13) != cfg.stretch):
+        with_stretch = " with --stretch" if cfg.stretch else ""
+        raise UsageError(f"no criterion {only}{with_stretch}: choose 1-12, or 13 with --stretch")
     ws = Workspace(cfg)
     rows = run_criteria(ws, only=only)
     lines = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS
@@ -15,12 +14,11 @@ STRETCH_MAX_COSETS = 6 * 10**6
 class RunConfig:
     """Resource bounds, validated once when built.
 
-    A max_cosets of None takes POLYQUOT_MAX_COSETS if it is set, else
-    STRETCH_MAX_COSETS for a stretch run and DEFAULT_MAX_COSETS otherwise.
-    The budget is decided here alone and bounds every enumeration of the
-    run, the stretch run's included: a given budget is kept even when it is
-    below STRETCH_MAX_COSETS, so that a bounded stretch run reports
-    exceeded-limit.
+    A max_cosets of None takes STRETCH_MAX_COSETS for a stretch run and
+    DEFAULT_MAX_COSETS otherwise.  The budget is decided here alone and
+    bounds every enumeration of the run, the stretch run's included: a given
+    budget is kept even when it is below STRETCH_MAX_COSETS, so that a
+    bounded stretch run reports exceeded-limit.
     """
 
     max_cosets: int | None = None
@@ -29,11 +27,6 @@ class RunConfig:
 
     def __post_init__(self):
         if self.max_cosets is None:
-            env = os.environ.get("POLYQUOT_MAX_COSETS")
-            try:
-                self.max_cosets = int(env) if env else (
-                    STRETCH_MAX_COSETS if self.stretch else DEFAULT_MAX_COSETS)
-            except ValueError:
-                raise ValueError(f"POLYQUOT_MAX_COSETS is not an integer: {env!r}") from None
+            self.max_cosets = STRETCH_MAX_COSETS if self.stretch else DEFAULT_MAX_COSETS
         if self.max_cosets < 1 or self.subgroup_order_bound < 1:
             raise ValueError("resource bounds must be positive")

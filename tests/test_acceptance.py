@@ -1,12 +1,11 @@
 """The acceptance suite: one test per criterion, each printing a row per check.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the rows, or
-`polyquot verify` for the same table from the CLI.  The optional large-scale
-row (criterion 13) only runs when POLYQUOT_STRETCH=1; it takes about 40 s and
-a 305 MB peak on a 2-core machine, and never fails the suite.
+`polyquot verify` for the same table from the CLI.  Criterion 13, the
+large-scale stretch run, gives rows only in a stretch run: it is
+`polyquot verify --case 13 --stretch`, about 40 s and a 305 MB peak on a
+2-core machine, and its rows never fail the suite.
 """
-
-import os
 
 import pytest
 
@@ -31,31 +30,23 @@ def test_criterion(ws, num):
     _run(ws, num)
 
 
-@pytest.mark.skipif(os.environ.get("POLYQUOT_STRETCH") != "1",
-                    reason="stretch row (case 20 at index 5,003,460) is opt-in")
-def test_criterion_13_stretch(ws):
-    from polyquot.config import RunConfig
-
-    stretch_ws = Workspace(RunConfig(stretch=True))
-    rows = criterion_13(stretch_ws)
-    for row in rows:
-        status = "PASS" if row.ok else "FAIL"
-        print(f"[{status}] criterion 13: {row.name}: expected {row.expected!r}, got {row.actual!r}")
-    # per the specification this row is optional and does not fail the suite
-
-
 def test_criterion_13_rows_from_an_existing_case20(monkeypatch):
     """The stretch rows without the stretch run: case 22's order is derived
-    from case 20's."""
-    from polyquot import verify
+    from case 20's by `classify_table1`."""
+    from polyquot import amalgam
     from polyquot.amalgam import EXISTS, UniversalResult, case_spec
+    from polyquot.config import RunConfig
 
     case20 = UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
                              order_reconstructed=600415200)
-    monkeypatch.setattr(verify, "build_universal_over_facet", lambda case, max_cosets: case20)
-    rows = criterion_13(Workspace())
+    monkeypatch.setattr(amalgam, "build_universal_over_facet", lambda case, max_cosets: case20)
+    rows = criterion_13(Workspace(RunConfig(stretch=True)))
     assert [(r.name, r.actual, r.source, r.ok) for r in rows] == [
         ("case 20 facet-coset index", 5003460, "stretch", True),
         ("case 20 group order", 600415200, "stretch", True),
         ("case 22 group order", 600415200, "stretch", True),
     ]
+
+
+def test_criterion_13_has_no_rows_outside_a_stretch_run(ws):
+    assert criterion_13(ws) == []

@@ -212,6 +212,21 @@ def test_facet_coset_path_detects_vfig_collapse():
     assert res.vfig_subgroup_order == 60
 
 
+@pytest.mark.parametrize("name", ["dodecahedron", "hemi-icosahedron"])
+def test_element_words_read_the_generators_and_build_no_table(monkeypatch, name):
+    from polyquot import catalog
+
+    monkeypatch.setattr(catalog, "_GROUPS", {})
+    g = entry_by_name(name).group()
+    words = amalgam._element_words(g)
+    assert g._rmul is None and len(words) == g.order
+    for j, w in enumerate(words):
+        x = 0
+        for i in w:
+            x = g.gens[i][x]
+        assert x == j
+
+
 def test_stretch_case22_exceeds_budget():
     res = build_universal_over_facet(case_spec(22), max_cosets=10**4)
     assert res.outcome == EXCEEDED

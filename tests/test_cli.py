@@ -106,19 +106,10 @@ def test_budget_bounds_the_lifted_order_not_the_trivial_enumeration(capsys):
     assert code == 0 and ": collapsed" in out and "group order 660" in out
 
 
-def test_env_var_overrides_max_cosets(capsys, monkeypatch):
-    monkeypatch.setenv("POLYQUOT_MAX_COSETS", "100")
-    code, out, _ = run(capsys, "build", "--facet", "cube", "--vfig", "hemi-icosahedron")
-    assert code == 2
-
-
-@pytest.mark.parametrize("budget, env", [(("--max-cosets", "1000"), None), ((), "1000")])
-def test_stretch_run_keeps_a_given_coset_budget(capsys, monkeypatch, budget, env):
+def test_stretch_run_keeps_a_given_coset_budget(capsys):
     # the full stretch run enumerates 5,337,342 cosets; with a budget of 1000
     # it stops at once, and an outcome other than exists fails no criterion
-    if env is not None:
-        monkeypatch.setenv("POLYQUOT_MAX_COSETS", env)
-    code, out, _ = run(capsys, "verify", "--case", "13", "--stretch", *budget)
+    code, out, _ = run(capsys, "verify", "--case", "13", "--stretch", "--max-cosets", "1000")
     assert code == 0
     assert out == ("[FAIL] criterion 13: case 20 stretch outcome: "
                    "expected 'exists', got 'exceeded-limit' (stretch)\n")
@@ -132,13 +123,8 @@ def test_stretch_table1_keeps_a_given_coset_budget(capsys):
     assert by_case[20]["outcome"] == by_case[22]["outcome"] == "exceeded-limit"
 
 
-@pytest.mark.parametrize("max_cosets, env, expected", [
-    (None, None, STRETCH_MAX_COSETS), (1000, None, 1000), (None, "1000", 1000),
-    (10**7, "1000", 10**7)])
-def test_stretch_budget_is_the_default_only(monkeypatch, max_cosets, env, expected):
-    monkeypatch.delenv("POLYQUOT_MAX_COSETS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("POLYQUOT_MAX_COSETS", env)
+@pytest.mark.parametrize("max_cosets, expected", [(None, STRETCH_MAX_COSETS), (1000, 1000)])
+def test_stretch_budget_is_the_default_only(max_cosets, expected):
     assert RunConfig(max_cosets=max_cosets, stretch=True).max_cosets == expected
 
 
@@ -177,6 +163,36 @@ def test_verify_unknown_criterion_is_usage_error(capsys, case):
     code, out, err = run(capsys, "verify", "--case", case)
     assert code == 3 and out == ""
     assert err == f"usage error: no criterion {case}: choose 1-12, or 13 with --stretch\n"
+
+
+@pytest.mark.parametrize("case", range(1, 13))
+def test_verify_stretch_with_another_criterion_is_usage_error(capsys, case):
+    code, out, err = run(capsys, "verify", "--case", str(case), "--stretch")
+    assert code == 3 and out == ""
+    assert err == (f"usage error: no criterion {case} with --stretch: "
+                   "choose 1-12, or 13 with --stretch\n")
+
+
+def test_full_stretch_verify_builds_case20_once(capsys, monkeypatch):
+    from polyquot import amalgam
+
+    calls = []
+    case20 = amalgam.UniversalResult(amalgam.case_spec(20).amalgam(), amalgam.EXISTS, None,
+                                     120, 60, order_reconstructed=600415200)
+
+    def over_facet(case, max_cosets):
+        calls.append((case.number, max_cosets))
+        return case20
+
+    monkeypatch.setattr(amalgam, "build_universal_over_facet", over_facet)
+    code, out, _ = run(capsys, "verify", "--stretch")
+    assert code == 0 and calls == [(20, STRETCH_MAX_COSETS)]
+    assert "[FAIL]" not in out
+    assert [line for line in out.splitlines() if "criterion 13" in line] == [
+        "[PASS] criterion 13: case 20 facet-coset index: expected 5003460, got 5003460 (stretch)",
+        "[PASS] criterion 13: case 20 group order: expected 600415200, got 600415200 (stretch)",
+        "[PASS] criterion 13: case 22 group order: expected 600415200, got 600415200 (stretch)",
+    ]
 
 
 def test_export_entry_json(capsys):
@@ -245,12 +261,6 @@ def test_zero_max_cosets_is_usage_error(capsys):
 def test_negative_subgroup_bound_is_usage_error(capsys):
     code, _, err = run(capsys, "quotients", "--facet", "cube", "--vfig", "hemicross",
                        "--subgroup-bound", "-5")
-    assert code == 3 and err.startswith("usage error:")
-
-
-def test_non_integer_env_max_cosets_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("POLYQUOT_MAX_COSETS", "abc")
-    code, _, err = run(capsys, "build", "--facet", "cube", "--vfig", "hemicross")
     assert code == 3 and err.startswith("usage error:")
 
 
