@@ -10,10 +10,16 @@ table is an involutory permutation of the cosets.
 Storage.  The working table is one flat `array('i')` column per generator,
 `cols[x][alpha]` being alpha·x or -1 while undefined; the union-find parents
 `p` and the deduction stack (one array of cosets, one of generators) are
-`array('i')` too, about 20 bytes per defined coset in all.  Each relator
-rotation is bound once to its tuple of columns, so a scan reads
-`wc[i][alpha]` with no indexing by letter.  The closing step renumbers the
-live cosets with numpy straight from these buffers.
+`array('i')` too, about 20 bytes per defined coset in all.  The columns and
+`p` grow in steps, not a coset at a time: when the cosets defined reach the
+rows allocated, each column gains a block of -1 and `p` the block's own
+numbers, about an eighth of the rows so far but at least 64, and never past
+`max_cosets`.  So a run cut by the budget ends with exactly `max_cosets`
+rows, and a closed run trims them to the cosets defined: either way
+`len(p)` is `cosets_defined`.  Each relator rotation is bound once to its
+tuple of columns, so a scan reads `wc[i][alpha]` with no indexing by letter.
+The closing step renumbers the live cosets with numpy straight from these
+buffers.
 
 One scan per deduction.  A deduction (alpha, x), with alpha·x = beta, is
 scanned at alpha only, against `edp[x]`: the rotations of the relators and of
@@ -49,7 +55,13 @@ fills only entries that were undefined, so a defined alpha·x stays as it
 is until a coincidence, and an undefined one is read afresh by each scan
 from alpha.  After a coincidence alpha·x is read again: the coincidence can
 merge it away and move alpha's x-edge, and a value kept across it sends the
-scans that follow to a dead coset.
+scans that follow to a dead coset.  A forward walk that stops leaves at
+least one letter, so the backward walk makes its first read before its
+loop, with no bound test.  The main loop defines an entry only when the
+stack is empty and no subgroup word is being filled, so the deduction it
+would push is the very next one popped: it is scanned at once instead,
+in the same order, with no push and pop.  A subgroup word's definitions
+are pushed, since the word is scanned again before any deduction.
 """
 
 from __future__ import annotations
@@ -169,81 +181,36 @@ class _Enumerator:
         deduction stack after each word and each such definition.
 
         Each step scans a list of relator words from one coset a: the
-        rotations `edp[y]` for a deduction (a, y) popped from the stack, or
-        the subgroup word being filled, from coset 0.  A scan runs forwards
-        and backwards until it meets a gap.  One that closes gives a
-        coincidence, one with a single gap a deduction.  A longer gap gives
-        nothing, except in the word being filled: there the entry at the
-        gap is defined and the word is scanned again, with no deduction
-        scanned in between."""
-        p, cols, rank, max_cosets = self.p, self.cols, self.rank, self.max_cosets
+        rotations `edp[y]` for a deduction (a, y), popped or that of the
+        main loop's definition just made, or the subgroup word being
+        filled, from coset 0.  A scan runs forwards and backwards until it
+        meets a gap.  One that closes gives a coincidence, one with a single
+        gap a deduction.  A longer gap gives nothing, except in the word
+        being filled: there the entry at the gap is defined, its deduction
+        pushed, and the word is scanned again, with no deduction scanned in
+        between.  A definition first grows the buffers by a step when they
+        are full, or ends the run when they hold `max_cosets` rows; a
+        closed run trims them to the cosets defined."""
+        p, cols, rank = self.p, self.cols, self.rank
         ded_coset = self.ded_coset
         pop_coset, pop_gen = ded_coset.pop, self.ded_gen.pop
         push_coset, push_gen = ded_coset.append, self.ded_gen.append
-        coincidence = self._coincidence
+        coincidence, grow = self._coincidence, self._grow
         # each rotation with the index of its last letter
         scans = [[(w, wc, len(w) - 1) for w, wc in row] for row in self.edp]
         words = [w for w in reversed(subgroup_words) if w]
         word = None  # the subgroup word being filled
         alpha = x = 0  # the next table entry the main loop looks at
-        n = len(p)
+        n = cap = len(p)  # cosets defined, and the rows allocated
         while True:
-            if word is not None or ded_coset:
-                if word is not None:
-                    a, y, rots = 0, word[0], ((word, self._columns(word), len(word) - 1),)
-                else:
-                    a = pop_coset()
-                    y = pop_gen()
-                    if p[a] != a:
-                        continue
-                    rots = scans[y]
-                d = -1
-                # every word in rots starts with y: walk its first edge once,
-                # and again after a coincidence, which may move it
-                ay = cols[y][a]
-                f0, i0 = (a, 0) if ay == -1 else (ay, 1)
-                for w, wc, j in rots:
-                    f, i = f0, i0
-                    while i <= j:
-                        nxt = wc[i][f]
-                        if nxt == -1:
-                            break
-                        f = nxt
-                        i += 1
-                    else:
-                        if f != a:
-                            coincidence(f, a)
-                            if p[a] != a:
-                                break
-                            ay = cols[y][a]
-                            f0, i0 = (a, 0) if ay == -1 else (ay, 1)
-                        continue
-                    b = a
-                    while j >= i:
-                        nxt = wc[j][b]
-                        if nxt == -1:
-                            break
-                        b = nxt
-                        j -= 1
-                    if j < i:
-                        coincidence(f, b)
-                        if p[a] != a:
-                            break
-                        ay = cols[y][a]
-                        f0, i0 = (a, 0) if ay == -1 else (ay, 1)
-                    elif j == i:
-                        col = wc[i]
-                        col[f] = b
-                        col[b] = f
-                        push_coset(f)
-                        push_gen(w[i])
-                    elif word is not None:
-                        d, z = f, w[i]
-                if word is None:
+            if word is not None:
+                a, y, rots = 0, word[0], ((word, self._columns(word), len(word) - 1),)
+            elif ded_coset:
+                a = pop_coset()
+                y = pop_gen()
+                if p[a] != a:
                     continue
-                if d == -1:
-                    word = None
-                    continue
+                rots = scans[y]
             elif words:
                 word = words.pop()
                 continue
@@ -257,20 +224,99 @@ class _Enumerator:
                     alpha += 1
                     x = 0
                 else:
+                    for buf in (p, *cols):
+                        del buf[n:]
                     return CLOSED, self._live_table(), n
-                d, z = alpha, x
+                if n == cap:
+                    cap = grow(n)
+                    if n == cap:
+                        return EXCEEDED, np.empty((0, rank), dtype=np.int32), n
+                a, y = alpha, x
+                col = cols[y]
+                col[a] = n
+                col[n] = a
+                n += 1
                 x += 1
-            if n >= max_cosets:
-                return EXCEEDED, np.empty((0, rank), dtype=np.int32), n
-            for col in cols:
-                col.append(-1)
-            p.append(n)
+                rots = scans[y]
+            # every word in rots starts with y: walk its first edge once,
+            # and again after a coincidence, which may move it
+            f0, i0 = cols[y][a], 1
+            if f0 == -1:
+                f0, i0 = a, 0
+            for w, wc, j in rots:
+                f, i = f0, i0
+                while i <= j:
+                    nxt = wc[i][f]
+                    if nxt == -1:
+                        break
+                    f = nxt
+                    i += 1
+                else:
+                    if f != a:
+                        coincidence(f, a)
+                        if p[a] != a:
+                            break
+                        f0, i0 = cols[y][a], 1
+                        if f0 == -1:
+                            f0, i0 = a, 0
+                    continue
+                # here j >= i: the backward walk's first read needs no test
+                b = wc[j][a]
+                if b == -1:
+                    b = a
+                else:
+                    j -= 1
+                    while j >= i:
+                        nxt = wc[j][b]
+                        if nxt == -1:
+                            break
+                        b = nxt
+                        j -= 1
+                if j > i:  # a gap of two or more letters
+                    continue
+                if j == i:
+                    col = wc[i]
+                    col[f] = b
+                    col[b] = f
+                    push_coset(f)
+                    push_gen(w[i])
+                else:
+                    coincidence(f, b)
+                    if p[a] != a:
+                        break
+                    f0, i0 = cols[y][a], 1
+                    if f0 == -1:
+                        f0, i0 = a, 0
+            if word is None:
+                continue
+            # the word is the only rotation scanned, so f, i and j are its
+            # scan's: a gap of two or more letters is left when j > i
+            if j <= i:
+                word = None
+                continue
+            if n == cap:
+                cap = grow(n)
+                if n == cap:
+                    return EXCEEDED, np.empty((0, rank), dtype=np.int32), n
+            z = w[i]
             col = cols[z]
-            col[d] = n
-            col[n] = d
-            push_coset(d)
+            col[f] = n
+            col[n] = f
+            push_coset(f)
             push_gen(z)
             n += 1
+
+    def _grow(self, n: int) -> int:
+        """Append rows n, n+1, ... to the columns, undefined, and to the
+        parents, each its own class: about n/8 rows but at least 64, and no
+        more than the budget leaves.  Returns the rows now allocated, n
+        itself once the budget is spent."""
+        step = min(max(64, n >> 3), self.max_cosets - n)
+        block = array("i", [-1]) * step
+        for col in self.cols:
+            col.extend(block)
+        self.p.extend(range(n, n + step))
+        return n + step
 
     def _live_table(self) -> np.ndarray:
         """The live cosets' rows, renumbered 0, 1, ... in coset order."""
@@ -291,8 +337,8 @@ def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = D
     than `max_cosets` cosets would have to be defined (a reportable outcome,
     not an exception).
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
+    if not isinstance(max_cosets, int) or max_cosets < 1:
+        raise ValueError("max_cosets must be an integer >= 1")
     words = tuple(tuple(w) for w in subgroup_words)
     for w in words:
         for g in w:

@@ -59,8 +59,26 @@ def test_exceeded_limit_is_reported():
 
 
 def test_max_cosets_validation():
-    with pytest.raises(ValueError):
-        coset_enumeration(cox(4, 3), max_cosets=0)
+    # a budget that is no integer is refused like one below 1, not taken
+    # as a bound to compare with
+    for max_cosets in (0, -3, 30.5, 48.0, "48"):
+        with pytest.raises(ValueError, match="max_cosets must be an integer >= 1"):
+            coset_enumeration(cox(4, 3), max_cosets=max_cosets)
+
+
+@pytest.mark.parametrize("pres, max_cosets, status", [
+    (cox(4, 3), 48, CLOSED), (cox(4, 3), 47, EXCEEDED),
+    (Presentation(1, ()), 2, CLOSED), (Presentation(1, ()), 1, EXCEEDED),
+])
+def test_buffers_end_at_the_cosets_defined(pres, max_cosets, status):
+    # {4,3} defines exactly its 48 cosets and rank 1 its 2: a budget of
+    # that many closes, one less is cut there; the buffers grow in steps
+    # but never past the budget, and a closed run trims them
+    e = coset._Enumerator(pres, max_cosets)
+    outcome, _, defined = e.run(())
+    assert (outcome, defined) == (status, max_cosets)
+    assert len(e.p) == max_cosets
+    assert [len(col) for col in e.cols] == [max_cosets] * pres.rank
 
 
 @pytest.mark.parametrize("word", [(-1,), (3,)])
@@ -212,17 +230,19 @@ def _coxeter_plus_relator(draw):
     return entries, extra, words
 
 
-@given(_coxeter_plus_relator())
+@given(_coxeter_plus_relator(), st.integers(1, 3000))
 @settings(max_examples=150, deadline=None)
 # an enumerator that keeps alpha·x across a coincidence, after alpha·x has
 # been merged away, defines 10 cosets where these define 9, or breaks the
 # table of <s1>'s cosets
-@example(((4, 3), (2, 0, 1, 1, 2, 2, 0, 0), ()))
-@example(((5, 3), (0, 2, 2, 2, 0, 0, 1, 1), ()))
-@example(((5, 4, 4), (3, 0, 3, 3, 2, 1), ((1,),)))
-def test_coxeter_plus_relator_against_reference_enumerator(case):
+@example(((4, 3), (2, 0, 1, 1, 2, 2, 0, 0), ()), 3000)
+@example(((5, 3), (0, 2, 2, 2, 0, 0, 1, 1), ()), 3000)
+@example(((5, 4, 4), (3, 0, 3, 3, 2, 1), ((1,),)), 3000)
+def test_coxeter_plus_relator_against_reference_enumerator(case, max_cosets):
+    # a budget anywhere up to 3000 cuts the run at any place relative to
+    # the steps in which the table grows
     entries, extra, words = case
-    _assert_matches_reference(cox(*entries).with_relators([extra]), words, max_cosets=3000)
+    _assert_matches_reference(cox(*entries).with_relators([extra]), words, max_cosets=max_cosets)
 
 
 def _assert_edp_is_every_rotation(pres):
