@@ -231,7 +231,6 @@ class CaseSpec:
     number: int
     facet_name: str
     vfig_name: str
-    dual_of: int | None = None
 
     def amalgam(self) -> AmalgamSpec:
         return AmalgamSpec(catalog.entry_by_name(self.facet_name), catalog.entry_by_name(self.vfig_name))
@@ -246,20 +245,20 @@ TABLE1: list[CaseSpec] = [
     CaseSpec(6, "icosahedron", "hemidodecahedron"),
     CaseSpec(7, "hemi-icosahedron", "hemidodecahedron"),
     CaseSpec(8, "hemi-icosahedron", "dodecahedron"),
-    CaseSpec(9, "hemicube", "tetrahedron", dual_of=1),
+    CaseSpec(9, "hemicube", "tetrahedron"),
     CaseSpec(10, "cube", "hemicross"),
     CaseSpec(11, "hemicube", "hemicross"),
-    CaseSpec(12, "hemicube", "octahedron", dual_of=10),
+    CaseSpec(12, "hemicube", "octahedron"),
     CaseSpec(13, "cube", "hemi-icosahedron"),
     CaseSpec(14, "hemicube", "hemi-icosahedron"),
     CaseSpec(15, "hemicube", "icosahedron"),
-    CaseSpec(16, "hemidodecahedron", "tetrahedron", dual_of=2),
-    CaseSpec(17, "dodecahedron", "hemicross", dual_of=15),
-    CaseSpec(18, "hemidodecahedron", "hemicross", dual_of=14),
-    CaseSpec(19, "hemidodecahedron", "octahedron", dual_of=13),
+    CaseSpec(16, "hemidodecahedron", "tetrahedron"),
+    CaseSpec(17, "dodecahedron", "hemicross"),
+    CaseSpec(18, "hemidodecahedron", "hemicross"),
+    CaseSpec(19, "hemidodecahedron", "octahedron"),
     CaseSpec(20, "dodecahedron", "hemi-icosahedron"),
     CaseSpec(21, "hemidodecahedron", "hemi-icosahedron"),
-    CaseSpec(22, "hemidodecahedron", "icosahedron", dual_of=20),
+    CaseSpec(22, "hemidodecahedron", "icosahedron"),
 ]
 
 # cases whose enumeration over the trivial subgroup is far beyond desk scale
@@ -270,31 +269,40 @@ def case_spec(number: int) -> CaseSpec:
     return TABLE1[number - 1]
 
 
+def reversal_partners() -> dict[int, int | None]:
+    """Each Table 1 case's dual partner, or None: the first earlier case
+    whose `presentation_key` is that of the case's `reversed_presentation`."""
+    first_with_key, partners = {}, {}
+    for case in TABLE1:
+        pres = amalgam_presentation(case.amalgam())
+        partners[case.number] = first_with_key.get(presentation_key(reversed_presentation(pres)))
+        first_with_key.setdefault(presentation_key(pres), case.number)
+    return partners
+
+
 def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
                     stretch: bool = False) -> dict[int, UniversalResult]:
     """One UniversalResult per Table 1 case.
 
-    A case whose presentation is the reversal of an earlier case's (see
-    `reversed_presentation`) is the dual of that partner, and its result is
-    derived from the partner's by `derive_reversed`, not built; a partner
-    that gives nothing to derive from leaves the case to its own route.
+    A case with a reversal partner (see `reversal_partners`) is its dual,
+    and its result is derived from the partner's by `derive_reversed`, not
+    built; a partner that gives nothing to derive from leaves the case to its
+    own route.
     Cases 20 and 22 exceed any desk-scale trivial-subgroup enumeration; they
     are reported as exceeded-limit without burning the full coset budget.
     With stretch=True case 20 is enumerated over its facet subgroup (see
     `build_universal_over_facet`), and case 22 is derived from it when that
     run finds the polytope; its own facet-subgroup index, 600,415,200 / 60 =
     10,006,920, is over STRETCH_MAX_COSETS.  `max_cosets`, the run's
-    `RunConfig.max_cosets`, bounds every enumeration, case 20's included;
-    `table1 --stretch` and verify's criterion 13 both read cases 20 and 22
-    from here.
+    `RunConfig.max_cosets`, bounds every enumeration, case 20's included.
+    `table1` and verify's Workspace read every case from here; `build`,
+    `quotients` and `export` build their pair with `build_universal`.
     """
     out: dict[int, UniversalResult] = {}
-    first_with_key = {}
+    partners = reversal_partners()
     for case in TABLE1:
         spec = case.amalgam()
-        pres = amalgam_presentation(spec)
-        partner = first_with_key.get(presentation_key(reversed_presentation(pres)))
-        first_with_key.setdefault(presentation_key(pres), case.number)
+        partner = partners[case.number]
         derived = derive_reversed(spec, out[partner]) if partner is not None else None
         if derived is not None:
             out[case.number] = derived

@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import catalog
-from .amalgam import EXISTS, AmalgamSpec, TABLE1, build_universal, classify_table1
+from .amalgam import (EXISTS, AmalgamSpec, TABLE1, build_universal, classify_table1,
+                      reversal_partners)
 from .config import RunConfig
 from .coset import EXCEEDED, RelatorMismatch
 from .permgroups import BoundExceeded
@@ -190,6 +191,7 @@ def cmd_quotients(args) -> int:
 def cmd_table1(args) -> int:
     cfg = _config(args)
     results = classify_table1(max_cosets=cfg.max_cosets, stretch=cfg.stretch)
+    partners = reversal_partners()
     rows = []
     for case in TABLE1:
         r = results[case.number]
@@ -197,7 +199,7 @@ def cmd_table1(args) -> int:
             "case": case.number,
             "facet": case.facet_name,
             "vfig": case.vfig_name,
-            "dual_of": case.dual_of,
+            "dual_of": partners[case.number],
             "outcome": r.outcome,
             "group_order": r.order if r.group is not None else r.order_reconstructed,
             "detail": r.collapse_detail,

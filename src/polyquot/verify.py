@@ -1,8 +1,8 @@
 """The acceptance checks: every classification claim as an expected/actual row.
 
 Each criterion is a function returning CheckRows; the Workspace memoizes the
-heavy artifacts (universal groups, quotient reports) so the rows can be run
-individually or all together with shared work.
+heavy artifacts (one `classify_table1` call, quotient reports) so the rows can
+be run individually or all together with shared work.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import catalog
-from .amalgam import (EXISTS, COLLAPSED, NOT_POLYTOPAL, amalgam_presentation,
-                      build_universal, case_spec, classify_table1, twisted_over)
+from .amalgam import (EXISTS, COLLAPSED, NOT_POLYTOPAL, amalgam_presentation, case_spec,
+                      classify_table1, twisted_over)
 from .config import RunConfig
 from .coset import EXCEEDED, broken_relator
 from .permgroups import BoundExceeded
@@ -58,22 +58,22 @@ class CheckRow:
 
 
 class Workspace:
-    """Memoized heavy artifacts shared across criteria."""
+    """Memoized heavy artifacts shared across criteria: the run's one
+    `classify_table1` call, made on first need, and the quotient reports."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
-        self._universal = {}
+        self._table1 = None
         self._report = {}
 
     def build(self, case: int):
-        """The case's build, whatever its outcome."""
-        if case not in self._universal:
-            self._universal[case] = build_universal(
-                case_spec(case).amalgam(), max_cosets=self.config.max_cosets)
-        return self._universal[case]
+        """The case's Table 1 result, whatever its outcome."""
+        if self._table1 is None:
+            self._table1 = classify_table1(self.config.max_cosets, stretch=self.config.stretch)
+        return self._table1[case]
 
     def universal(self, case: int):
-        """The case's build, for a criterion that needs its group or
+        """The case's Table 1 result, for a criterion that needs its group or
         polytope: BoundExceeded names a case that hit the coset budget."""
         r = self.build(case)
         if r.outcome == EXCEEDED:
@@ -241,11 +241,11 @@ def criterion_9(ws: Workspace) -> list[CheckRow]:
     """Nonexistence: collapses, including the two that collapse to the 11-cell."""
     rows = []
     for case in (1, 2, 3, 4, 5, 14, 15):
-        r = ws.build(case)
+        r = ws.universal(case)
         rows.append(CheckRow(9, f"case {case} reports no polytope", True,
                              r.outcome in (COLLAPSED, NOT_POLYTOPAL)))
     for case in (6, 8):
-        r = ws.build(case)
+        r = ws.universal(case)
         rows.append(CheckRow(9, f"case {case} collapses", COLLAPSED, r.outcome))
         rows.append(CheckRow(9, f"case {case} collapsed group is the 11-cell's", 660, r.order))
     return rows
@@ -303,12 +303,11 @@ def criterion_12(ws: Workspace) -> list[CheckRow]:
 
 def criterion_13(ws: Workspace) -> list[CheckRow]:
     """Stretch: case 20 over its facet subgroup and its dual case 22, read
-    from `classify_table1`; no rows unless the run is a stretch run, and
-    never fails the suite."""
+    from the Workspace's stretch `classify_table1` call; no rows unless the
+    run is a stretch run, and never fails the suite."""
     if not ws.config.stretch:
         return []
-    results = classify_table1(ws.config.max_cosets, stretch=True)
-    res = results[20]
+    res = ws.build(20)
     if res.outcome != EXISTS:
         return [CheckRow(13, "case 20 stretch outcome", EXISTS, res.outcome, source="stretch")]
     return [
@@ -316,7 +315,7 @@ def criterion_13(ws: Workspace) -> list[CheckRow]:
                  res.order_reconstructed // 120, source="stretch"),
         CheckRow(13, "case 20 group order", 600415200, res.order_reconstructed,
                  source="stretch"),
-        CheckRow(13, "case 22 group order", 600415200, results[22].order_reconstructed,
+        CheckRow(13, "case 22 group order", 600415200, ws.build(22).order_reconstructed,
                  source="stretch"),
     ]
 

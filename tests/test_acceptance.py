@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the rows, or
 `polyquot verify` for the same table from the CLI.  Criterion 13, the
 large-scale stretch run, gives rows only in a stretch run: it is
-`polyquot verify --case 13 --stretch`, about 40 s and a 305 MB peak on a
+`polyquot verify --case 13 --stretch`, about 26 s and a 312 MB peak on a
 2-core machine, and its rows never fail the suite.
 """
 

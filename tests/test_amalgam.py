@@ -9,8 +9,8 @@ from polyquot import amalgam, coset, permgroups, polytopes
 from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, canonical_relator, case_spec,
-                              classify_table1, presentation_key, reversed_presentation,
-                              twisted_over)
+                              classify_table1, presentation_key, reversal_partners,
+                              reversed_presentation, twisted_over)
 from polyquot.catalog import entry_by_name, petrie_relator, rank3_catalog
 from polyquot.coset import (EXCEEDED, _interleaved_union, broken_relator, coset_enumeration,
                             lift_from_parabolics, perm_rep)
@@ -121,8 +121,8 @@ def test_build_universal_memory():
 
 
 def test_table1_dual_references():
-    duals = {c.number: c.dual_of for c in TABLE1 if c.dual_of}
-    assert duals == {9: 1, 12: 10, 16: 2, 17: 15, 18: 14, 19: 13, 22: 20}
+    partners = {n: p for n, p in reversal_partners().items() if p is not None}
+    assert partners == {5: 3, 8: 6, 9: 1, 12: 10, 16: 2, 17: 15, 18: 14, 19: 13, 22: 20}
 
 
 def test_dual_pair_10_12(ws):
@@ -294,10 +294,6 @@ def test_reversal_pairs_come_from_the_presentations():
     for a, b in REVERSAL_PAIRS:
         expected[a], expected[b] = [b], [a]
     assert partners == dict(sorted(expected.items()))
-    # TABLE1.dual_of marks 7 of the 9 pairs
-    for c in TABLE1:
-        if c.dual_of is not None:
-            assert (c.dual_of, c.number) in REVERSAL_PAIRS
 
 
 def test_reversal_is_an_involution():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -173,7 +174,26 @@ def test_verify_stretch_with_another_criterion_is_usage_error(capsys, case):
                    "choose 1-12, or 13 with --stretch\n")
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of an amalgam function through every binding of it in
+    the package, so that a call through any module's import is counted."""
+    from polyquot import amalgam
+
+    calls, original = [], getattr(amalgam, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("polyquot") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_full_stretch_verify_builds_case20_once(capsys, monkeypatch):
+    # and each desk case once: one classify_table1 call, whose 12 builds
+    # are the cases it does not derive from a partner or skip as large
     from polyquot import amalgam
 
     calls = []
@@ -185,8 +205,11 @@ def test_full_stretch_verify_builds_case20_once(capsys, monkeypatch):
         return case20
 
     monkeypatch.setattr(amalgam, "build_universal_over_facet", over_facet)
+    table1_calls = _count_calls(monkeypatch, "classify_table1")
+    builds = _count_calls(monkeypatch, "build_universal")
     code, out, _ = run(capsys, "verify", "--stretch")
     assert code == 0 and calls == [(20, STRETCH_MAX_COSETS)]
+    assert len(table1_calls) == 1 and len(builds) == 12
     assert "[FAIL]" not in out
     assert [line for line in out.splitlines() if "criterion 13" in line] == [
         "[PASS] criterion 13: case 20 facet-coset index: expected 5003460, got 5003460 (stretch)",
@@ -299,7 +322,7 @@ def test_quotients_case10_dot(capsys):
     assert sum("[label=" in line for line in out.splitlines()) == 4
 
 
-@pytest.mark.parametrize("criterion", [4, 5, 6, 7, 8, 10, 12])
+@pytest.mark.parametrize("criterion", [4, 5, 6, 7, 8, 9, 10, 12])
 def test_verify_criterion_over_the_coset_budget_is_a_bound(capsys, criterion):
     code, out, err = run(capsys, "verify", "--case", str(criterion), "--max-cosets", "10")
     assert code == 2 and out == ""

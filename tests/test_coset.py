@@ -185,11 +185,18 @@ def test_coincidence_at_a_dead_coset_keeps_its_deduction(entries, extra, order):
 
 
 def _assert_matches_reference(pres, words=(), max_cosets=coset.DEFAULT_MAX_COSETS):
-    table = coset_enumeration(pres, subgroup_words=words, max_cosets=max_cosets)
-    status, rows, defined = ReferenceEnumerator(pres, max_cosets).run(words)
-    assert (table.status, table.cosets_defined) == (status, defined)
-    assert table.table.tolist() == rows
-    return table
+    """The enumeration's status, cosets defined and closed table are the
+    reference's, and so are its live cosets and their rows as numbered, which
+    is the whole state when the budget cuts the run and the table is open."""
+    words = tuple(map(tuple, words))
+    ours, ref = coset._Enumerator(pres, max_cosets), ReferenceEnumerator(pres, max_cosets)
+    status, table, defined = ours.run(words)
+    assert (status, table.tolist(), defined) == ref.run(words)
+    assert len(ours.p) == len(ref.p) == defined
+    live = [a for a in range(defined) if ref.p[a] == a]
+    assert [a for a in range(defined) if ours.p[a] == a] == live
+    assert [[col[a] for col in ours.cols] for a in live] == [ref.table[a] for a in live]
+    return CosetTable(pres, words, table, status, defined)
 
 
 # cosets each closed Table 1 enumeration defines, dead ones included, as the
@@ -272,16 +279,9 @@ CASE20_FACET_WORDS = [(0,), (1,), (2,)]
 
 
 def test_case20_prefix_against_reference_enumerator():
-    # cut at 20,000 cosets the table is open: compare the live cosets and
-    # their rows as numbered, after the same closure
-    pres = amalgam_presentation(case_spec(20).amalgam())
-    ours = coset._Enumerator(pres, 20_000)
-    ref = ReferenceEnumerator(pres, 20_000)
-    assert ours.run(CASE20_FACET_WORDS)[0] == ref.run(CASE20_FACET_WORDS)[0] == EXCEEDED
-    assert len(ours.p) == len(ref.p) == 20_000
-    live = [a for a in range(20_000) if ref.p[a] == a]
-    assert [a for a in range(20_000) if ours.p[a] == a] == live
-    assert [[col[a] for col in ours.cols] for a in live] == [ref.table[a] for a in live]
+    table = _assert_matches_reference(amalgam_presentation(case_spec(20).amalgam()),
+                                      CASE20_FACET_WORDS, max_cosets=20_000)
+    assert (table.status, table.cosets_defined) == (EXCEEDED, 20_000)
 
 
 def test_case20_stretch_prefix_state():

@@ -34,7 +34,7 @@ QUOTIENTS_SHA256 = {
     19: "2a726e97faff0da9ad9014d160aad7f09a36c4115c4cd1b59c22472bf6364c7e",
     21: "9a64d39fac405eac901d262c642eb35bd793fa89772205cb9493ad8a0c34d1ce",
 }
-TABLE1_SHA256 = "eb5e80dfed0a06b3fa74fd3404423455fef5d1dfed467d7fc8d0b03657366042"
+TABLE1_SHA256 = "f9b5c20b712901a3850d739c3b81d9126471331352d27de16a5538beeabee49e"
 MASKED_LATTICE_SHA256 = {
     7: "8e5cca544e764412dc8b41d5034f3ac6c066a064cd9e204a48d1c018943529db",
     10: "e12cbec2975b151c05def7cd885635d0c222984106819a3205d969690d63d2eb",
