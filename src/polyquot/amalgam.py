@@ -158,8 +158,12 @@ def build_universal(spec: AmalgamSpec, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     two.  A lifted group must satisfy every relator, else RelatorMismatch,
     as in `perm_rep`.  `cosets_defined` is the sum over the enumerations
     run.  `exceeded-limit` when the trivial enumeration needs more than
-    `max_cosets` cosets.
+    `max_cosets` cosets.  A catalog entry over the order limit is refused
+    first, with BoundExceeded: its partner is a hosohedron or dihedron, and
+    the universal a Coxeter group, D_p x D_r or [2,p,2], over the limit too.
     """
+    spec.facet.require_order_limit()
+    spec.vfig.require_order_limit()
     pres = amalgam_presentation(spec)
     g, defined = None, 0
     if spec.name not in TRIVIAL_ROUTE:

@@ -65,6 +65,12 @@ class CatalogEntry:
     def polytope(self) -> Polytope:
         return _realize_polytope(self)
 
+    def require_order_limit(self):
+        """Refuse, before any enumeration, a group the marked group would refuse."""
+        if self.expected_order > DEFAULT_ORDER_LIMIT:
+            raise BoundExceeded(f"{self.name}: group order {self.expected_order} "
+                                f"exceeds enumeration limit {DEFAULT_ORDER_LIMIT}")
+
 
 _GROUPS: dict[str, MarkedGroup] = {}
 _POLYTOPES: dict[str, Polytope] = {}
@@ -77,9 +83,7 @@ def _realize_group(entry: CatalogEntry) -> MarkedGroup:
     table; an order the marked group would refuse is refused before
     enumerating."""
     if entry.name not in _GROUPS:
-        if entry.expected_order > DEFAULT_ORDER_LIMIT:
-            raise BoundExceeded(f"{entry.name}: group order {entry.expected_order} "
-                                f"exceeds enumeration limit {DEFAULT_ORDER_LIMIT}")
+        entry.require_order_limit()
         pres = entry.presentation()
         p, q = entry.symbol.entries
         g, _ = lift_from_parabolics(pres, [((0, 1), 2 * p), ((1, 2), 2 * q)])

@@ -77,14 +77,14 @@ Facets and vertex figures come from the group, not from built sections
 A polygon is fixed by its flag count, so an F-quotient is section regular
 when its 2-faces have one flag count and so do its vertex figures.  Each
 rank-3 parabolic's semisparse classes are therefore named once per group,
-and a quotient's facets are named by looking up the class of
-F ∩ x^-1 N x, one x per double coset N*x*F.
+in a table keyed by every member of every class, and the facet through N*x
+is named by one lookup of F ∩ x^-1 N x, one x per double coset N*x*F.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,36 +227,25 @@ def semisparse_classes(g: MarkedGroup,
 # the rank-3 parabolics and their quotient classes
 
 
-@dataclass
-class _Parabolic:
-    """A parabolic P_J of g with its semisparse classes, named once."""
+def _parabolic(g: MarkedGroup, js: tuple[int, ...]) -> dict[bytes, tuple[int, str, bool]]:
+    """The class table of P_J = <s_j : j in J>, built once per group.
 
-    group: MarkedGroup  # P_J, marked by s_j for j in J
-    ids: np.ndarray  # ids[x] = P_J's id of g's element x, or -1 outside P_J
-    classes: dict[bytes, tuple[str, bool]]  # key -> (name, section regular)
-    canonical: dict[bytes, bytes] = field(default_factory=dict)  # class_key memo
-
-    def class_key(self, g_ids: np.ndarray) -> bytes:
-        """Key of the P_J-class of a subset of P_J, given by g's ids: its
-        lex-least P_J-conjugate, the lattice's representative of a class."""
-        m = Subgroup(self.group, self.ids[g_ids])
-        if m.key() not in self.canonical:
-            self.canonical[m.key()] = conjugates(self.group, m)[0].key()
-        return self.canonical[m.key()]
-
-
-def _parabolic(g: MarkedGroup, js: tuple[int, ...]) -> _Parabolic:
-    """The table of P_J = <s_j : j in J>, built once per group."""
+    Every member of each semisparse P_J-class is a key: the sorted ids in g
+    of its elements (P_J's k-th element is g's k-th least id in P_J, so the
+    map keeps the order).  A key maps to the class number, the quotient's
+    catalog name and whether its polygons agree, so a subset of P_J is named
+    by one lookup and has no key unless it is a semisparse subgroup."""
     if js not in g._parabolics:
         sub = g.parabolic_group(js)
-        ids = np.full(g.order, -1, dtype=np.int64)
-        ids[g.parabolic(js).elem_ids] = np.arange(sub.order)  # sub's k-th element is g's k-th
-        classes = {}
-        for cls, q, _ in _semisparse_candidates(sub, DEFAULT_SUBGROUP_BOUND):
+        ids = g.parabolic(js).elem_ids
+        table = {}
+        for k, (cls, q, _) in enumerate(_semisparse_candidates(sub, DEFAULT_SUBGROUP_BOUND)):
             polygons_agree = all(len(np.unique(np.bincount(q.face_of_flag[:, i]))) == 1
                                  for i in (0, q.rank - 1))
-            classes[cls.rep.key()] = (catalog.identify(q), polygons_agree)
-        g._parabolics[js] = _Parabolic(sub, ids, classes)
+            entry = (k, catalog.identify(q), polygons_agree)
+            for m in conjugates(sub, cls.rep):
+                table[Subgroup(g, ids[m.elem_ids]).key()] = entry
+        g._parabolics[js] = table
     return g._parabolics[js]
 
 
@@ -274,9 +263,8 @@ def is_semisparse_product_criterion(w: MarkedGroup, n: Subgroup) -> bool:
     b = w.parabolic([1, 2, 3])
     facet = _parabolic(w, (0, 1, 2))
     for conj in conjugates(w, n):
-        meet = product_set_intersect(conj, a, b)
-        # a meet that is no subgroup has no conjugate among the class keys
-        if (facet.ids[meet] < 0).any() or facet.class_key(meet) not in facet.classes:
+        # a meet outside <s0,s1,s2>, or no semisparse subgroup of it, has no key
+        if Subgroup(w, product_set_intersect(conj, a, b)).key() not in facet:
             return False
     return True
 
@@ -360,18 +348,19 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
     require_polytope_group(g)
     if g.rank != 4:
         raise ValueError(f"quotients are classified for rank-4 groups, not rank {g.rank}")
-    parabolics = [(_parabolic(g, (0, 1, 2)), 3), (_parabolic(g, (1, 2, 3)), 0)]
+    parabolics = [(_parabolic(g, js), np.isin(np.arange(g.order), g.parabolic(js).elem_ids),
+                   rank) for js, rank in (((0, 1, 2), 3), ((1, 2, 3), 0))]
     records = []
     for cls, qp, least in _semisparse_candidates(g, order_bound):
         normal = regular = cls.size == 1  # Aut(P/N) = N_W(N)/N, module docstring
         n_ids = cls.rep.elem_ids
         names, sect_reg = [], True
-        for par, rank in parabolics:
+        for table, in_p, rank in parabolics:
             first = np.unique(qp.face_of_flag[:, rank], return_index=True)[1]
             conj = g.conj(n_ids, least[first][:, None])  # x^-1 N x, a row per face
-            keys = [par.class_key(row[par.ids[row] >= 0]) for row in conj]
-            names.append(dict(Counter(par.classes[k][0] for k in keys)))
-            sect_reg &= len(set(keys)) == 1 and par.classes[keys[0]][1]
+            faces = [table[Subgroup(g, row[in_p[row]]).key()] for row in conj]
+            names.append(dict(Counter(name for _, name, _ in faces)))
+            sect_reg &= len({k for k, _, _ in faces}) == 1 and faces[0][2]
         records.append(QuotientRecord(
             subgroup=cls.rep,
             class_size=cls.size,

@@ -86,9 +86,17 @@ def test_export_entry_above_order_limit_is_refused_before_enumerating(capsys, p)
     assert err.startswith(f"bound exceeded: dihedron({p}): group order {4 * p} exceeds")
 
 
+@pytest.mark.parametrize("argv", [("build",), ("quotients",), ("export", "--what", "json")])
+@pytest.mark.parametrize("p", [99999999999, 3000000])
+def test_amalgam_entry_above_order_limit_is_refused_before_enumerating(capsys, argv, p):
+    code, out, err = run(capsys, *argv, "--facet", f"dihedron({p})", "--vfig", "hosohedron(3)")
+    assert code == 2 and out == ""
+    assert err.startswith(f"bound exceeded: dihedron({p}): group order {4 * p} exceeds")
+
+
 def test_build_long_relator_hits_coset_budget(capsys):
-    # (s0 s1)^30000 has two distinct rotations, not 120000
-    code, out, _ = run(capsys, "build", "--facet", "dihedron(30000)", "--vfig", "hosohedron(2)",
+    # (s0 s1)^5000, at the order limit, has two distinct rotations, not 20000
+    code, out, _ = run(capsys, "build", "--facet", "dihedron(5000)", "--vfig", "hosohedron(2)",
                        "--max-cosets", "1000")
     assert code == 2 and "exceeded-limit" in out
 

@@ -194,6 +194,16 @@ def test_fast_path_agrees_with_ground_truth_on_192(ws):
                 is_semisparse_product_criterion(g, cls.rep)), cls.rep.elem_ids
 
 
+@pytest.mark.parametrize("case", [13, 21])
+def test_fast_path_agrees_with_ground_truth_on_masked_lattice(ws, case):
+    """Hemi-icosahedral vertex figures have no proper quotient, so the
+    product-set criterion holds; octahedral ones (case 19) have one."""
+    g = ws.universal(case).group
+    for cls in enumerate_subgroups_within(g, semisparse_allowed_mask(g)):
+        assert (is_semisparse_product_criterion(g, cls.rep) ==
+                is_semisparse(g, cls.rep)), cls.rep.elem_ids
+
+
 def test_regular_iff_normal_on_reports(ws):
     """The record's regularity and normality, read from the class size, agree
     with the conjugates counted and with regularity by certificates."""
