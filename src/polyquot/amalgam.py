@@ -121,7 +121,7 @@ class UniversalResult:
 
     @property
     def order(self) -> int | None:
-        return self.group.order if self.group is not None else None
+        return self.group.order if self.group is not None else self.order_reconstructed
 
     def polytope(self) -> Polytope:
         if self.outcome != EXISTS:
@@ -296,7 +296,7 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
     are reported as exceeded-limit without burning the full coset budget.
     With stretch=True case 20 is enumerated over its facet subgroup (see
     `build_universal_over_facet`), and case 22 is derived from it when that
-    run finds the polytope; its own facet-subgroup index, 600,415,200 / 60 =
+    run measures the group's order; its own facet-subgroup index, 600,415,200 / 60 =
     10,006,920, is over STRETCH_MAX_COSETS.  `max_cosets`, the run's
     `RunConfig.max_cosets`, bounds every enumeration, case 20's included.
     `table1` and verify's Workspace read every case from here; `build`,
@@ -333,29 +333,25 @@ def derive_reversed(spec: AmalgamSpec, partner: UniversalResult) -> UniversalRes
     presents the partner's vertex figure reversed: the prescribed orders
     swap too.  So the parabolic orders are the partner's swapped, each
     collapse name is the `catalog.identified_dual` of the partner's other
-    one, the intersection condition carries over, and `_render`, which
-    renders built cases too, gives the outcome and detail.  The group is the partner's with its
-    generators reversed, rebuilt by `regular_from_action` from the partner's
-    regular action on the one-point base (0,) with no enumeration
-    (`cosets_defined` is 0); it numbers the elements by words alone, so its
-    generator permutations are those of `build_universal(spec)`.  A
-    facet-coset result keeps its outcome and order, with the two parabolic
-    orders swapped.
+    one, the intersection condition and `order_reconstructed` carry over,
+    and `_render`, which renders built cases too, gives the outcome and
+    detail.  The group is the partner's with its generators reversed,
+    rebuilt by `regular_from_action` from the partner's regular action on
+    the one-point base (0,) with no enumeration (`cosets_defined` is 0); it
+    numbers the elements by words alone, so its generator permutations are
+    those of `build_universal(spec)`.
     """
-    if partner.group is not None:
-        g = partner.group
-        facet_name, vfig_name = (name and identified_dual(name) for name in
-                                 (partner.vfig_collapse_name, partner.facet_collapse_name))
-        return _render(UniversalResult(
-            spec, EXISTS, regular_from_action(g.gens[::-1], g.order),
-            partner.vfig_subgroup_order, partner.facet_subgroup_order, cosets_defined=0,
-            facet_collapse_name=facet_name, vfig_collapse_name=vfig_name,
-            intersection=partner.intersection))
-    if partner.outcome == EXISTS and partner.order_reconstructed is not None:
-        return UniversalResult(spec, EXISTS, None, partner.vfig_subgroup_order,
-                               partner.facet_subgroup_order, cosets_defined=0,
-                               order_reconstructed=partner.order_reconstructed)
-    return None
+    g = partner.group
+    if g is None and partner.order_reconstructed is None:
+        return None
+    facet_name, vfig_name = (name and identified_dual(name) for name in
+                             (partner.vfig_collapse_name, partner.facet_collapse_name))
+    return _render(UniversalResult(
+        spec, EXISTS, g and regular_from_action(g.gens[::-1], g.order),
+        partner.vfig_subgroup_order, partner.facet_subgroup_order, cosets_defined=0,
+        order_reconstructed=partner.order_reconstructed,
+        facet_collapse_name=facet_name, vfig_collapse_name=vfig_name,
+        intersection=partner.intersection))
 
 
 def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResult:
@@ -369,6 +365,12 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResu
     method cannot tell collapse from an unfaithful action and the outcome is
     reported as `inconclusive` rather than guessed.  An enumeration over
     `max_cosets`, which every caller sets, reports exceeded-limit.
+
+    Once F acts faithfully, a word of the vertex-figure group V lies in F
+    exactly when it fixes coset 0, the coset F; with V uncollapsed the words
+    fixing it number |F ∩ V|, and the intersection condition F ∩ V = <s1,s2>
+    (McMullen & Schulte 2002, Prop. 2E16) is that count against |<s1,s2>|
+    in the facet group.  `_render` gives the outcome from these facts.
     """
     spec = case.amalgam()
     pres = amalgam_presentation(spec)
@@ -378,9 +380,9 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResu
     facet_group = spec.facet.group()
     vfig_group = spec.vfig.group()
     cols = [table.column(x) for x in range(4)]
-    res = UniversalResult(spec, EXISTS, None, None, None, cosets_defined=table.cosets_defined)
     distinct_f = _distinct_action_count(cols, _element_words(facet_group))
-    res.facet_subgroup_order = distinct_f
+    res = UniversalResult(spec, EXISTS, facet_subgroup_order=distinct_f,
+                          cosets_defined=table.cosets_defined)
     if distinct_f < facet_group.order:
         res.outcome = INCONCLUSIVE
         res.collapse_detail = (
@@ -388,17 +390,16 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResu
             "parabolic collapse and unfaithful action are indistinguishable here")
         return res
     # faithful action established; every parabolic order is now measured exactly
+    res.order_reconstructed = table.n_cosets * facet_group.order
     vfig_words = [tuple(x + 1 for x in w) for w in _element_words(vfig_group)]
     distinct_v = _distinct_action_count(cols, vfig_words)
     res.vfig_subgroup_order = distinct_v
     if distinct_v < vfig_group.order:
-        res.outcome = COLLAPSED
-        res.collapse_detail = (
-            f"vertex-figure subgroup collapsed to order {distinct_v}, "
-            f"expected {vfig_group.order} ({spec.vfig.name})")
-        return res
-    res.order_reconstructed = table.n_cosets * facet_group.order
-    return res
+        res.vfig_collapse_name = f"a group of order {distinct_v}"
+    else:
+        in_facet = sum(1 for w in vfig_words if _trace_points(cols, w, [0])[0] == 0)
+        res.intersection = in_facet == facet_group.parabolic((1, 2)).order
+    return _render(res)
 
 
 def _element_words(g: MarkedGroup) -> list[tuple[int, ...]]:

@@ -163,11 +163,7 @@ def cmd_quotients(args) -> int:
     res, code = _existing_universal(args, cfg)
     if code:
         return code
-    try:
-        report = classify_quotients(res.group, res.spec.name, cfg.subgroup_order_bound)
-    except BoundExceeded as e:
-        sys.stderr.write(f"{e}\n")
-        return 2
+    report = classify_quotients(res.group, res.spec.name, cfg.subgroup_order_bound)
     if args.format == "dot":
         _emit(quotient_lattice_dot(report, res.group), args)
         return 0
@@ -201,7 +197,7 @@ def cmd_table1(args) -> int:
             "vfig": case.vfig_name,
             "dual_of": partners[case.number],
             "outcome": r.outcome,
-            "group_order": r.order if r.group is not None else r.order_reconstructed,
+            "group_order": r.order,
             "detail": r.collapse_detail,
         })
     if args.format == "json":

@@ -300,8 +300,9 @@ def criterion_12(ws: Workspace) -> list[CheckRow]:
 
 def criterion_13(ws: Workspace) -> list[CheckRow]:
     """Stretch: case 20 over its facet subgroup and its dual case 22, read
-    from the Workspace's stretch `classify_table1` call; no rows unless the
-    run is a stretch run, and never fails the suite."""
+    from the Workspace's stretch `classify_table1` call: case 20's index,
+    order and intersection condition, and case 22's order; no rows unless
+    the run is a stretch run, and never fails the suite."""
     if not ws.config.stretch:
         return []
     res = ws.build(20)
@@ -309,11 +310,11 @@ def criterion_13(ws: Workspace) -> list[CheckRow]:
         return [CheckRow(13, "case 20 stretch outcome", EXISTS, res.outcome, source="stretch")]
     return [
         CheckRow(13, "case 20 facet-coset index", 5003460,
-                 res.order_reconstructed // 120, source="stretch"),
-        CheckRow(13, "case 20 group order", 600415200, res.order_reconstructed,
+                 res.order // res.facet_subgroup_order, source="stretch"),
+        CheckRow(13, "case 20 group order", 600415200, res.order, source="stretch"),
+        CheckRow(13, "case 20 intersection condition", True, res.intersection,
                  source="stretch"),
-        CheckRow(13, "case 22 group order", 600415200, ws.build(22).order_reconstructed,
-                 source="stretch"),
+        CheckRow(13, "case 22 group order", 600415200, ws.build(22).order, source="stretch"),
     ]
 
 

@@ -38,12 +38,13 @@ def test_criterion_13_rows_from_an_existing_case20(monkeypatch):
     from polyquot.config import RunConfig
 
     case20 = UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
-                             order_reconstructed=600415200)
+                             order_reconstructed=600415200, intersection=True)
     monkeypatch.setattr(amalgam, "build_universal_over_facet", lambda case, max_cosets: case20)
     rows = criterion_13(Workspace(RunConfig(stretch=True)))
     assert [(r.name, r.actual, r.source, r.ok) for r in rows] == [
         ("case 20 facet-coset index", 5003460, "stretch", True),
         ("case 20 group order", 600415200, "stretch", True),
+        ("case 20 intersection condition", True, "stretch", True),
         ("case 22 group order", 600415200, "stretch", True),
     ]
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyquot import amalgam, coset, permgroups, polytopes
-from polyquot.amalgam import (COLLAPSED, EXISTS, LARGE_CASES, AmalgamSpec, TABLE1,
+from polyquot.amalgam import (COLLAPSED, EXISTS, INCONCLUSIVE, LARGE_CASES, NOT_POLYTOPAL,
+                              AmalgamSpec, CaseSpec, TABLE1, UniversalResult,
                               amalgam_presentation, build_universal,
                               build_universal_over_facet, canonical_relator, case_spec,
-                              classify_table1, presentation_key, reversal_partners,
-                              reversed_presentation, twisted_over)
+                              classify_table1, derive_reversed, presentation_key,
+                              reversal_partners, reversed_presentation, twisted_over)
 from polyquot.catalog import entry_by_name, petrie_relator, rank3_catalog
 from polyquot.coset import (EXCEEDED, _interleaved_union, broken_relator, coset_enumeration,
                             lift_from_parabolics, perm_rep)
@@ -189,14 +190,13 @@ def test_facet_coset_path_on_faithful_small_case():
     # case 7 over its facet subgroup: 11 cosets, simple group, faithful action
     res = build_universal_over_facet(case_spec(7), max_cosets=10**4)
     assert res.outcome == EXISTS
-    assert res.order_reconstructed == 11 * 60 == 660
+    assert res.order_reconstructed == res.order == 11 * 60 == 660
     assert res.facet_subgroup_order == 60 and res.vfig_subgroup_order == 60
+    assert res.intersection is True and res.collapse_detail is None
 
 
 def test_facet_coset_path_reports_inconclusive_when_unfaithful():
     # case 10's facet parabolic has a big core: the method must not guess
-    from polyquot.amalgam import INCONCLUSIVE
-
     res = build_universal_over_facet(case_spec(10), max_cosets=10**4)
     assert res.outcome == INCONCLUSIVE
     assert res.order_reconstructed is None
@@ -209,7 +209,70 @@ def test_facet_coset_path_detects_vfig_collapse():
     # the vertex figure to the hemidodecahedron is certified exactly
     res = build_universal_over_facet(case_spec(8), max_cosets=10**4)
     assert res.outcome == COLLAPSED
-    assert res.vfig_subgroup_order == 60
+    assert res.vfig_subgroup_order == 60 and res.intersection is None
+    assert res.collapse_detail == ("vertex-figure subgroup collapsed to order 60 "
+                                   "(a group of order 60), expected 120 (dodecahedron)")
+
+
+@pytest.mark.parametrize("n, swaps, outcome, intersection", [
+    # the simplex {3,3,3}, S5 on its 5 facets: F fixes coset 0, and 6 of V's
+    # 24 words fix it, |<s1,s2>| = 6
+    (5, [(1, 2), (2, 3), (3, 4), (4, 0)], EXISTS, True),
+    # no catalog pair fails the check, so a fake table adds a coset 0 that
+    # every generator fixes, as though V lay in F: F and V still act
+    # faithfully, and all 24 of V's words fix coset 0
+    (6, [(1, 2), (2, 3), (3, 4), (4, 5)], NOT_POLYTOPAL, False),
+])
+def test_facet_coset_path_checks_the_intersection_condition(monkeypatch, n, swaps, outcome,
+                                                            intersection):
+    cols = []
+    for a, b in swaps:
+        col = np.arange(n)
+        col[[a, b]] = b, a
+        cols.append(col)
+    table = SimpleNamespace(status=coset.CLOSED, cosets_defined=n, n_cosets=n,
+                            column=cols.__getitem__)
+    monkeypatch.setattr(amalgam, "coset_enumeration",
+                        lambda pres, subgroup_words, max_cosets: table)
+    res = build_universal_over_facet(CaseSpec(0, "tetrahedron", "tetrahedron"), max_cosets=10)
+    assert (res.outcome, res.intersection, res.order) == (outcome, intersection, n * 24)
+    assert (res.facet_subgroup_order, res.vfig_subgroup_order) == (24, 24)
+    assert res.collapse_detail == (None if intersection else
+                                   "parabolic orders match but the intersection condition fails")
+
+
+def test_facet_coset_path_agrees_with_build_universal_on_catalog_pairs():
+    # every pair whose facet parabolic acts faithfully on few enough cosets:
+    # the intersection condition from the words fixing coset 0 is the one
+    # `build_universal` checks on the whole group
+    entries = rank3_catalog(degenerate=True)
+    pairs = [(f, v) for f in entries for v in entries
+             if f.symbol.entries[1] == v.symbol.entries[0]]
+    checked = []
+    for f, v in pairs:
+        res = build_universal_over_facet(CaseSpec(0, f.name, v.name), max_cosets=10**4)
+        if res.outcome in (EXCEEDED, INCONCLUSIVE):
+            continue
+        built = build_universal(AmalgamSpec(f, v))
+        assert (res.outcome, res.intersection, res.order) == (
+            built.outcome, built.intersection, built.order), (f.name, v.name)
+        assert (res.facet_subgroup_order, res.vfig_subgroup_order) == (
+            built.facet_subgroup_order, built.vfig_subgroup_order), (f.name, v.name)
+        if res.intersection is not None:
+            checked.append((f.name, v.name))
+    assert len(pairs) == 91 and len(checked) == 10
+    assert {("hemi-icosahedron", "hemidodecahedron"), ("cube", "hemi-icosahedron"),
+            ("hemidodecahedron", "octahedron"),
+            ("hemidodecahedron", "hemi-icosahedron")} <= set(checked)  # cases 7, 13, 19, 21
+
+
+def test_not_polytopal_facet_coset_partner_derives_a_not_polytopal_dual():
+    partner = UniversalResult(case_spec(20).amalgam(), NOT_POLYTOPAL, None, 120, 60,
+                              order_reconstructed=600415200, intersection=False)
+    r = derive_reversed(case_spec(22).amalgam(), partner)
+    assert (r.outcome, r.order, r.group, r.cosets_defined) == (NOT_POLYTOPAL, 600415200, None, 0)
+    assert (r.facet_subgroup_order, r.vfig_subgroup_order, r.intersection) == (60, 120, False)
+    assert r.collapse_detail == "parabolic orders match but the intersection condition fails"
 
 
 @pytest.mark.parametrize("name", ["dodecahedron", "hemi-icosahedron"])
@@ -251,14 +314,15 @@ def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
 
 def test_stretch_table1_derives_case22_from_an_existing_case20(monkeypatch):
     case20 = amalgam.UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
-                                     cosets_defined=5003460, order_reconstructed=600415200)
+                                     cosets_defined=5003460, order_reconstructed=600415200,
+                                     intersection=True)
     monkeypatch.setattr(amalgam, "build_universal_over_facet", lambda case, max_cosets: case20)
     monkeypatch.setattr(amalgam, "build_universal",
                         lambda spec, max_cosets: amalgam.UniversalResult(spec, EXISTS))
     r = classify_table1(stretch=True)[22]
     assert r.spec == case_spec(22).amalgam() and r.group is None
-    assert (r.outcome, r.order_reconstructed, r.cosets_defined) == (EXISTS, 600415200, 0)
-    assert (r.facet_subgroup_order, r.vfig_subgroup_order) == (60, 120)
+    assert (r.outcome, r.order, r.cosets_defined) == (EXISTS, 600415200, 0)
+    assert (r.facet_subgroup_order, r.vfig_subgroup_order, r.intersection) == (60, 120, True)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,8 @@ def test_full_stretch_verify_builds_case20_once(capsys, monkeypatch):
 
     calls = []
     case20 = amalgam.UniversalResult(amalgam.case_spec(20).amalgam(), amalgam.EXISTS, None,
-                                     120, 60, order_reconstructed=600415200)
+                                     120, 60, order_reconstructed=600415200,
+                                     intersection=True)
 
     def over_facet(case, max_cosets):
         calls.append((case.number, max_cosets))
@@ -222,6 +223,7 @@ def test_full_stretch_verify_builds_case20_once(capsys, monkeypatch):
     assert [line for line in out.splitlines() if "criterion 13" in line] == [
         "[PASS] criterion 13: case 20 facet-coset index: expected 5003460, got 5003460 (stretch)",
         "[PASS] criterion 13: case 20 group order: expected 600415200, got 600415200 (stretch)",
+        "[PASS] criterion 13: case 20 intersection condition: expected True, got True (stretch)",
         "[PASS] criterion 13: case 22 group order: expected 600415200, got 600415200 (stretch)",
     ]
 
@@ -363,7 +365,7 @@ def test_quotients_of_a_collapsed_case(capsys):
 def test_quotients_subgroup_bound_exceeded(capsys):
     code, out, err = run(capsys, "quotients", *CASE10, "--subgroup-bound", "100")
     assert code == 2 and out == ""
-    assert err == "group order 192 exceeds subgroup-enumeration bound 100\n"
+    assert err == "bound exceeded: group order 192 exceeds subgroup-enumeration bound 100\n"
 
 
 def test_build_case11_json(capsys):
