@@ -24,7 +24,8 @@ import numpy as np
 from . import catalog
 from .catalog import CatalogEntry, SchlafliSymbol, coxeter_presentation, identified_dual
 from .coset import DEFAULT_MAX_COSETS, EXCEEDED, coset_enumeration, lift_from_parabolics, perm_rep
-from .permgroups import DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, regular_from_action
+from .permgroups import (DEFAULT_ORDER_LIMIT, BoundExceeded, MarkedGroup, _bfs_tree,
+                         regular_from_action)
 from .polytopes import Polytope, intersection_condition, polytope_from_group
 from .presentations import Presentation, Word, cyclic_forms, normalize_relators
 
@@ -117,6 +118,7 @@ class UniversalResult:
     facet_collapse_name: str | None = None
     vfig_collapse_name: str | None = None
     intersection: bool | None = None
+    dual_of: int | None = None  # set by classify_table1: the case's reversal partner
     _polytope: Polytope | None = None
 
     @property
@@ -126,6 +128,8 @@ class UniversalResult:
     def polytope(self) -> Polytope:
         if self.outcome != EXISTS:
             raise ValueError(f"no universal polytope: outcome is {self.outcome}")
+        if self.group is None:
+            raise ValueError("no universal polytope: the result holds no group")
         if self._polytope is None:
             self._polytope = polytope_from_group(self.group)
         return self._polytope
@@ -316,6 +320,7 @@ def classify_table1(max_cosets: int = DEFAULT_MAX_COSETS,
             out[case.number] = UniversalResult(spec, EXCEEDED, cosets_defined=0)
         else:
             out[case.number] = build_universal(spec, max_cosets=max_cosets)
+        out[case.number].dual_of = partner
     return out
 
 
@@ -403,20 +408,13 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResu
 
 
 def _element_words(g: MarkedGroup) -> list[tuple[int, ...]]:
-    """A word in the distinguished generators for every element, by BFS on
-    the regular action: x times generator i is gens[i][x], read with no table."""
-    words = {0: ()}
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for i, s in enumerate(g.gens):
-                y = int(s[x])
-                if y not in words:
-                    words[y] = words[x] + (i,)
-                    nxt.append(y)
-        queue = nxt
-    return [words[i] for i in range(g.order)]
+    """A word in the distinguished generators for every element, along the
+    breadth-first tree of the regular action, read with no table."""
+    words = [()] * g.order
+    for k, parents, children in _bfs_tree(g.gens, g.order):
+        for x, y in zip(parents.tolist(), children.tolist()):
+            words[y] = words[x] + (k,)
+    return words
 
 
 def _trace_points(cols, word, points):

@@ -13,8 +13,7 @@ import os
 import sys
 
 from . import catalog
-from .amalgam import (EXISTS, AmalgamSpec, TABLE1, build_universal, classify_table1,
-                      reversal_partners)
+from .amalgam import EXISTS, AmalgamSpec, TABLE1, build_universal, classify_table1
 from .config import RunConfig
 from .coset import EXCEEDED, RelatorMismatch
 from .permgroups import BoundExceeded
@@ -187,7 +186,6 @@ def cmd_quotients(args) -> int:
 def cmd_table1(args) -> int:
     cfg = _config(args)
     results = classify_table1(max_cosets=cfg.max_cosets, stretch=cfg.stretch)
-    partners = reversal_partners()
     rows = []
     for case in TABLE1:
         r = results[case.number]
@@ -195,7 +193,7 @@ def cmd_table1(args) -> int:
             "case": case.number,
             "facet": case.facet_name,
             "vfig": case.vfig_name,
-            "dual_of": partners[case.number],
+            "dual_of": r.dual_of,
             "outcome": r.outcome,
             "group_order": r.order,
             "detail": r.collapse_detail,

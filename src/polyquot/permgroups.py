@@ -84,6 +84,12 @@ every class of subgroups whose elements all lie in a conjugation-closed mask:
 A class representative H is generated by its recorded generators, so the
 join of H with <z> is the closure of those generators and z: one frontier
 BFS of table gathers.
+
+A subgroup's class is its orbit under the maps y -> s_k*y*s_k, which
+generate conjugation (Holt, Eick & O'Brien, section 4.1), found breadth-first
+with each member's generators carried along.  The normaliser of the least
+member, the representative, is the set of y with y^-1*x*y in it for each
+generator x, and every class is checked against |class| * |N(H)| = |G|.
 """
 
 from __future__ import annotations
@@ -314,6 +320,7 @@ class MarkedGroup:
         self._regular = False      # set by _check_regular, or by a constructor's proof
         self._rmul = None          # _rmul[j][i] = id of elem_i * elem_j = elem_j[i]
         self._inv = None
+        self._conj_maps = None
         self._elem_orders = None
         self._intersection = None  # kept by polytopes.intersection_condition
         self._parabolic_ids = {}   # kept by parabolic
@@ -445,6 +452,14 @@ class MarkedGroup:
         return self.mul(self.mul(self.inverse(g), a), g)
 
     @property
+    def conj_maps(self) -> list[np.ndarray]:
+        """conj_maps[k][y] = s_k * y * s_k, by ids, computed once."""
+        if self._conj_maps is None:
+            R = self.rmul
+            self._conj_maps = [R[s][R[:, s]] for s in self.gen_ids]  # R[x, s] = s*x
+        return self._conj_maps
+
+    @property
     def element_orders(self) -> np.ndarray:
         if self._elem_orders is None:
             n = self.order
@@ -500,30 +515,29 @@ def product_set_intersect(h: Subgroup, a: Subgroup, b: Subgroup) -> np.ndarray:
     return np.intersect1d(h.elem_ids, prods)
 
 
-def _conjugate_class_rows(g: MarkedGroup, ids: np.ndarray, transversal: np.ndarray) -> np.ndarray:
-    """Sorted conjugates ids^t, one row per transversal element."""
-    R = g.rmul
-    inv = g.inv_ids
-    T = R[np.ix_(ids, inv[transversal].astype(np.int64))]  # T[k, t] = inv(t) * ids_k
-    C = R[transversal[None, :].astype(np.int64), T]        # C[k, t] = (inv(t) * ids_k) * t
-    return np.sort(C.T, axis=1)
-
-
-def _class_transversal(g: MarkedGroup, sub: Subgroup) -> np.ndarray:
-    """One representative per right coset (sub)x; conjugation is constant on cosets.
-
-    The cosets are the orbits of left multiplication by the subgroup's
-    generators (by all its elements when none are recorded)."""
-    R = g.rmul
-    lab = orbit_min_labels([R[:, int(h)] for h in sub.gen_ids or sub.elem_ids], g.order)
-    return np.unique(lab)
+def _class_orbit(g: MarkedGroup, ids: np.ndarray, gen_ids) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The class of the subgroup with sorted element ids `ids` and generators
+    `gen_ids`, the orbit of ids under `MarkedGroup.conj_maps` (see the module
+    docstring): its members' sorted ids as the rows of a lexicographically
+    sorted array, and the generators carried to the first member."""
+    rows, gens = [np.asarray(ids, dtype=np.int32)], [np.asarray(gen_ids, dtype=np.int64)]
+    seen = {_ids_key(rows[0])}
+    for row, gen in zip(rows, gens):  # the lists grow as the orbit is met
+        for c in g.conj_maps:
+            img = np.sort(c[row])
+            if _ids_key(img) not in seen:
+                seen.add(_ids_key(img))
+                rows.append(img)
+                gens.append(c[gen])
+    members = np.stack(rows).astype(np.int32)
+    lex = np.lexsort(members.T[::-1])
+    return members[lex], tuple(int(x) for x in gens[lex[0]])
 
 
 def conjugates(g: MarkedGroup, h: Subgroup) -> list[Subgroup]:
     """The full conjugacy class of h, deduplicated, canonically ordered."""
-    trans = _class_transversal(g, h)
-    rows = np.unique(_conjugate_class_rows(g, h.elem_ids, trans), axis=0)
-    return [Subgroup(g, row) for row in rows]
+    members, _ = _class_orbit(g, h.elem_ids, h.gen_ids)
+    return [Subgroup(g, row) for row in members]
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +547,15 @@ def conjugates(g: MarkedGroup, h: Subgroup) -> list[Subgroup]:
 @dataclass
 class SubgroupClass:
     rep: Subgroup
-    size: int
+    members: np.ndarray  # every member's sorted ids, a lex-sorted row each; rep's comes first
 
     @property
     def order(self) -> int:
         return self.rep.order
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 class _Zuppos:
@@ -593,39 +611,29 @@ def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
     zup = _Zuppos(g, allowed)
 
     member_key_to_class: dict[bytes, int] = {}
-    reps: list[np.ndarray] = []
-    rep_gens: list[tuple[int, ...]] = []
+    classes: list[SubgroupClass] = []
     normalizers: list[np.ndarray] = []
-    sizes: list[int] = []
     odd_generated: list[bool] = []
     queue = deque()
 
     def register(ids: np.ndarray, gen_ids: tuple[int, ...], odd: bool):
         """Record and queue the class of `ids`, unless it is known; `odd`
         says whether it is odd-generated, that is, found by a join."""
-        key = _ids_key(ids)
-        if key in member_key_to_class:
+        if _ids_key(ids) in member_key_to_class:
             return
-        sub = Subgroup(g, ids, gen_ids)
-        trans = _class_transversal(g, sub)
-        rows = _conjugate_class_rows(g, sub.elem_ids, trans)
-        uniq = np.unique(rows, axis=0)
-        cls = len(reps)
-        rep_row = uniq[0].astype(np.int32)  # lex-least conjugate: the class representative
-        hit = np.flatnonzero((rows == uniq[0]).all(axis=1))
-        t0 = int(trans[hit[0]])
-        # normalizer of the representative: union of cosets (sub)t with ids^t = rep
-        s_t = trans[hit]
-        a = R[sub.elem_ids.astype(np.int64), g.inv_ids[t0]]  # inv(t0) * ids
-        norm = np.sort(R[np.ix_(s_t.astype(np.int64), a.astype(np.int64))].ravel())
-        rep_gen_ids = tuple(int(g.conj(x, t0)) for x in gen_ids)
-        reps.append(rep_row)
-        rep_gens.append(rep_gen_ids)
-        normalizers.append(norm.astype(np.int32))
-        sizes.append(len(uniq))
+        members, rep_gen_ids = _class_orbit(g, ids, gen_ids)
+        in_rep = np.zeros(n, dtype=bool)
+        in_rep[members[0]] = True
+        norm = np.arange(n)  # N(rep): the y conjugating each of rep_gen_ids into rep
+        for x in rep_gen_ids:
+            norm = norm[in_rep[g.conj(x, norm)]]
+        if len(members) * len(norm) != n:
+            raise AssertionError(f"|class| {len(members)} x normaliser order {len(norm)} != {n}")
+        cls = len(classes)
+        classes.append(SubgroupClass(Subgroup(g, members[0], rep_gen_ids), members))
+        normalizers.append(norm)
         odd_generated.append(odd)
-        for row in uniq:
-            member_key_to_class[_ids_key(row)] = cls
+        member_key_to_class.update((row.tobytes(), cls) for row in members)
         queue.append(cls)
 
     register(np.array([0], dtype=np.int32), (), True)
@@ -638,9 +646,9 @@ def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
 
     while queue:
         cls = queue.popleft()
-        H = reps[cls]
-        h_gens = rep_gens[cls]
-        N = normalizers[cls].astype(np.int64)
+        H = classes[cls].rep.elem_ids
+        h_gens = classes[cls].rep.gen_ids
+        N = normalizers[cls]
         in_H = np.zeros(n, dtype=bool)
         in_H[H] = True
         # index-2 extensions H u Hc: c in N(H) \ H with c^2 in H
@@ -653,11 +661,10 @@ def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
             continue
         # odd-zuppo joins, one per N(H)-orbit of zuppos
         seen_orbit = np.zeros(len(zup.sets), dtype=bool)
-        invN = g.inv_ids[N]
         for z, e in enumerate(zup.gen_elem):
             if seen_orbit[z]:
                 continue
-            seen_orbit[zup.of_elem[R[N, R[e][invN]]]] = True
+            seen_orbit[zup.of_elem[g.conj(e, N)]] = True
             if in_H[zup.sets[z]].all():
                 continue
             gens2 = h_gens + (e,)
@@ -665,5 +672,4 @@ def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
             if allowed[K].all():
                 register(K, gens2, True)
 
-    order_key = sorted(range(len(reps)), key=lambda c: (len(reps[c]), tuple(reps[c])))
-    return [SubgroupClass(Subgroup(g, reps[c], rep_gens[c]), sizes[c]) for c in order_key]
+    return sorted(classes, key=lambda c: (c.order, tuple(c.rep.elem_ids)))

@@ -183,11 +183,11 @@ def semisparse_allowed_mask(g: MarkedGroup) -> np.ndarray:
     s_i outside G_i, so the identity is allowed.
 
     The forbidden elements are the conjugacy classes (the orbits of the maps
-    x -> s*x*s) that meet one of the sets s_i*G_i, which together hold at
-    most rank*max|G_i| elements.
+    x -> s*x*s, `MarkedGroup.conj_maps`) that meet one of the sets s_i*G_i,
+    which together hold at most rank*max|G_i| elements.
     """
     R = g.rmul
-    lab = orbit_min_labels([R[s][R[:, s]] for s in g.gen_ids], g.order)  # R[x, s] = s*x
+    lab = orbit_min_labels(g.conj_maps, g.order)
     bad = np.zeros(g.order, dtype=bool)
     for i, s in enumerate(g.gen_ids):
         g_i = g.parabolic([j for j in range(g.rank) if j != i]).elem_ids
@@ -243,8 +243,8 @@ def _parabolic(g: MarkedGroup, js: tuple[int, ...]) -> dict[bytes, tuple[int, st
             polygons_agree = all(len(np.unique(np.bincount(q.face_of_flag[:, i]))) == 1
                                  for i in (0, q.rank - 1))
             entry = (k, catalog.identify(q), polygons_agree)
-            for m in conjugates(sub, cls.rep):
-                table[Subgroup(g, ids[m.elem_ids]).key()] = entry
+            for m in cls.members:
+                table[Subgroup(g, ids[m]).key()] = entry
         g._parabolics[js] = table
     return g._parabolics[js]
 

@@ -18,7 +18,6 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from polyquot.permgroups import (DEFAULT_SUBGROUP_BOUND, MarkedGroup, Subgroup, _bfs_tree,
-                                 _class_transversal, _conjugate_class_rows,
                                  enumerate_subgroups_within)
 from polyquot.polytopes import _certificate_from, is_regular
 from polyquot.presentations import Presentation, Word, normalize_relators
@@ -610,16 +609,20 @@ def enumerate_subgroups(g, order_bound=DEFAULT_SUBGROUP_BOUND):
     return enumerate_subgroups_within(g, np.ones(g.order, dtype=bool), order_bound)
 
 
+def conjugate_rows(g, ids):
+    """Row x holds the sorted ids of x^-1 H x, H the subgroup with element ids
+    `ids`: conjugation by every element of g, not the library's orbit."""
+    x = np.arange(g.order)[:, None]
+    return np.sort(g.conj(np.asarray(ids)[None, :], x), axis=1)
+
+
 def are_conjugate(g, h1, h2):
-    """(True, witness id) if some x conjugates h1 onto h2, else (False, None)."""
+    """(True, least witness id) if some x conjugates h1 onto h2, else (False, None)."""
     if h1.order != h2.order:
         return False, None
-    trans = _class_transversal(g, h1)
-    rows = _conjugate_class_rows(g, h1.elem_ids, trans)
-    target = h2.elem_ids.astype(rows.dtype)
-    hits = np.flatnonzero((rows == target).all(axis=1))
+    hits = np.flatnonzero((conjugate_rows(g, h1.elem_ids) == h2.elem_ids).all(axis=1))
     if hits.size:
-        return True, int(trans[hits[0]])
+        return True, int(hits[0])
     return False, None
 
 

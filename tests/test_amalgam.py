@@ -325,6 +325,18 @@ def test_stretch_table1_derives_case22_from_an_existing_case20(monkeypatch):
     assert (r.facet_subgroup_order, r.vfig_subgroup_order, r.intersection) == (60, 120, True)
 
 
+def test_polytope_of_a_result_without_a_group_is_refused():
+    # case 20 from the facet-coset path, and case 22 derived from it, exist
+    # with an order but no group
+    case20 = UniversalResult(case_spec(20).amalgam(), EXISTS, None, 120, 60,
+                             order_reconstructed=600415200, intersection=True)
+    case22 = derive_reversed(case_spec(22).amalgam(), case20)
+    for res in (case20, case22):
+        assert (res.outcome, res.group, res.order) == (EXISTS, None, 600415200)
+        with pytest.raises(ValueError, match="the result holds no group"):
+            res.polytope()
+
+
 # ---------------------------------------------------------------------------
 # duality as the reversal of a presentation
 

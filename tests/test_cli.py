@@ -161,6 +161,14 @@ def test_table1_json(capsys):
     assert by_case[20]["outcome"] == "exceeded-limit"
 
 
+def test_table1_computes_the_dual_partners_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "reversal_partners")
+    code, out, _ = run(capsys, "table1", "--format", "json")
+    assert code == 0 and len(calls) == 1
+    # case 22's partner is recorded although an exceeded case 20 gives it nothing to derive from
+    assert {r["case"]: r["dual_of"] for r in json.loads(out)}[22] == 20
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run(capsys, "verify", "--case", "1")
     assert code == 0

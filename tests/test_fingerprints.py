@@ -1,15 +1,15 @@
-"""The JSON reports stay byte-identical across refactors.
+"""The JSON and DOT reports stay byte-identical across refactors.
 
-sha256 of `polyquot quotients --facet F --vfig V --format json` for each
-desk-scale case and of `polyquot table1 --format json`, as recorded in
-CHANGES.md.  The quotient reports come from the session workspace, so nothing
-is classified twice.  The masked subgroup lattice that the quotient search
-walks is fingerprinted too, by class sizes and representative element ids,
-and so is the lattice inside the earlier, weaker reference mask
-`oracles.generator_pair_mask`, whose pins predate the current mask.
-The generators recorded with a representative follow the search's path, so
-they are not pinned; each class is checked to be generated by them, which is
-what the conjugacy transversals need.
+sha256 of `polyquot quotients --facet F --vfig V --format json` and
+`--format dot` for each desk-scale case and of `polyquot table1 --format
+json`, as recorded in CHANGES.md.  The quotient reports come from the session
+workspace, so nothing is classified twice.  The masked subgroup lattice that
+the quotient search walks is fingerprinted too, by class sizes and
+representative element ids, and so is the lattice inside the earlier, weaker
+reference mask `oracles.generator_pair_mask`, whose pins predate the current
+mask.  The generators recorded with a representative follow the search's
+path, so they are not pinned; each class is checked to be generated by them,
+which is what the normaliser test needs.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ import pytest
 from polyquot.amalgam import case_spec
 from polyquot.cli import _dumps, main
 from polyquot.permgroups import enumerate_subgroups_within
-from polyquot.quotients import semisparse_allowed_mask
+from polyquot.quotients import quotient_lattice_dot, semisparse_allowed_mask
 
 from oracles import generator_pair_mask
 
@@ -33,6 +33,15 @@ QUOTIENTS_SHA256 = {
     13: "01eed961de4649cf35cc23d4fa1b5774064495181b370694d5597af04d9e354a",
     19: "2a726e97faff0da9ad9014d160aad7f09a36c4115c4cd1b59c22472bf6364c7e",
     21: "9a64d39fac405eac901d262c642eb35bd793fa89772205cb9493ad8a0c34d1ce",
+}
+QUOTIENTS_DOT_SHA256 = {
+    7: "d2d9eea271292a03480dd84e27368fb230f9bec3e53baa50928b1e7768b7732e",
+    10: "8001d8435cefede431f0f1e1d05fbe0b584c936e66366a1d7f108b6c619592c9",
+    11: "d2d9eea271292a03480dd84e27368fb230f9bec3e53baa50928b1e7768b7732e",
+    12: "8001d8435cefede431f0f1e1d05fbe0b584c936e66366a1d7f108b6c619592c9",
+    13: "517d28ead4ca210eaf2f50fc8a83ecd6c7467b8f81221f1a720c77fe504de99a",
+    19: "db1c42202c674c2f768a0f94a466f7b5084c1c667166c485ef7299a47b4df244",
+    21: "d2d9eea271292a03480dd84e27368fb230f9bec3e53baa50928b1e7768b7732e",
 }
 TABLE1_SHA256 = "f9b5c20b712901a3850d739c3b81d9126471331352d27de16a5538beeabee49e"
 MASKED_LATTICE_SHA256 = {
@@ -66,6 +75,12 @@ def test_quotients_json_fingerprint(ws, case):
     assert _sha256(_dumps(js)) == QUOTIENTS_SHA256[case]
 
 
+@pytest.mark.parametrize("case", sorted(QUOTIENTS_DOT_SHA256))
+def test_quotients_dot_fingerprint(ws, case):
+    dot = quotient_lattice_dot(ws.report(case), ws.universal(case).group)
+    assert _sha256(dot) == QUOTIENTS_DOT_SHA256[case]
+
+
 def test_table1_json_fingerprint(capsys):
     assert main(["table1", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == TABLE1_SHA256
@@ -75,7 +90,7 @@ def _assert_lattice_fingerprint(g, allowed, sha256):
     classes = enumerate_subgroups_within(g, allowed)
     rows = [[c.size, c.rep.elem_ids.tolist()] for c in classes]
     assert _sha256(json.dumps(rows)) == sha256
-    for c in classes:  # conjugacy transversals read the recorded generators
+    for c in classes:  # the normaliser test reads the recorded generators
         assert np.array_equal(g.closure_ids(c.rep.gen_ids), c.rep.elem_ids)
 
 

@@ -478,6 +478,42 @@ def test_semisparse_mask_lattice_against_brute_force(ws, case, subgroups, classe
     _assert_masked_lattice(g, semisparse_allowed_mask(g), subgroups, classes)
 
 
+def _assert_members_are_conjugates(g, classes):
+    """Each class's members are the distinct x^-1 H x over every element x,
+    in lexicographic order, the representative first, and `conjugates`
+    lists the same subgroups."""
+    for c in classes:
+        brute = np.unique(oracles.conjugate_rows(g, c.rep.elem_ids), axis=0)
+        assert np.array_equal(c.members, brute)
+        assert np.array_equal(c.members[0], c.rep.elem_ids)
+        assert np.array_equal([h.elem_ids for h in conjugates(g, c.rep)], brute)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron", "dodecahedron",
+                                  "icosahedron", "hemicube", "hemicross", "hemidodecahedron",
+                                  "hemi-icosahedron"])
+def test_class_members_against_conjugation_by_every_element_catalog(name):
+    g = entry_by_name(name).group()
+    _assert_members_are_conjugates(g, enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize("case, dense", [(10, True), (13, False), (21, False)])
+def test_class_members_against_conjugation_by_every_element(ws, case, dense):
+    g = ws.universal(case).group
+    allowed = np.ones(g.order, dtype=bool) if dense else semisparse_allowed_mask(g)
+    _assert_members_are_conjugates(g, enumerate_subgroups_within(g, allowed))
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_lattice_checks_class_size_times_normaliser_order(cube, dropped):
+    """With one generator's conjugation map dropped, an orbit misses part of
+    its class, and |class| * |N(H)| = |G| fails."""
+    g = MarkedGroup(cube.degree, cube.gens)
+    g._conj_maps = [c for k, c in enumerate(cube.conj_maps) if k != dropped]
+    with pytest.raises(AssertionError, match="normaliser order"):
+        enumerate_subgroups(g)
+
+
 def test_conjugacy_transitive(cube, cube_xyz):
     x, y, z = cube_xyz
     h1 = subgroup(cube, [cube.mul(x, y)])
