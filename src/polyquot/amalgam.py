@@ -379,7 +379,7 @@ def build_universal_over_facet(case: CaseSpec, max_cosets: int) -> UniversalResu
     """
     spec = case.amalgam()
     pres = amalgam_presentation(spec)
-    table = coset_enumeration(pres, subgroup_words=[(0,), (1,), (2,)], max_cosets=max_cosets)
+    table = coset_enumeration(pres, (0, 1, 2), max_cosets=max_cosets)
     if table.status == EXCEEDED:
         return UniversalResult(spec, EXCEEDED, cosets_defined=table.cosets_defined)
     facet_group = spec.facet.group()

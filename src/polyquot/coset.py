@@ -3,7 +3,9 @@
 Felsch-style: definitions are made in first-undefined order and every table
 entry pushed onto a deduction stack is scanned against all relator rotations
 through it before the next definition.  Coset numbering is therefore a pure
-function of the presentation and subgroup words.  Since every generator is an
+function of the presentation and the subgroup's generators.  Every subgroup
+enumerated is a parabolic <s_j : j in J>, given by J, so each s_j need only
+fix coset 0: no subgroup word is filled.  Since every generator is an
 involution the alphabet needs no inverses and each table column of a closed
 table is an involutory permutation of the cosets.
 
@@ -58,10 +60,8 @@ merge it away and move alpha's x-edge, and a value kept across it sends the
 scans that follow to a dead coset.  A forward walk that stops leaves at
 least one letter, so the backward walk makes its first read before its
 loop, with no bound test.  The main loop defines an entry only when the
-stack is empty and no subgroup word is being filled, so the deduction it
-would push is the very next one popped: it is scanned at once instead,
-in the same order, with no push and pop.  A subgroup word's definitions
-are pushed, since the word is scanned again before any deduction.
+stack is empty, so the deduction it would push is the very next one popped:
+it is scanned at once instead, in the same order, with no push and pop.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class CosetTable:
     """Result of an enumeration.  Coset 0 is the subgroup itself."""
 
     presentation: Presentation
-    subgroup_words: tuple[Word, ...]
+    subgroup: tuple[int, ...]  # J, the generators of the parabolic <s_j : j in J>
     table: np.ndarray  # cosets x rank, meaningful only when closed
     status: str
     cosets_defined: int  # total definitions made, including dead cosets
@@ -129,10 +129,7 @@ class _Enumerator:
             forms, k = cyclic_forms(rel)
             rots.update(w * k for w in forms)
         for w in sorted(rots):
-            self.edp[w[0]].append((w, self._columns(w)))
-
-    def _columns(self, word: Word) -> tuple[array, ...]:
-        return tuple(self.cols[x] for x in word)
+            self.edp[w[0]].append((w, tuple(self.cols[x] for x in w)))
 
     # -- union-find over cosets ------------------------------------------
 
@@ -175,22 +172,21 @@ class _Enumerator:
 
     # -- the enumeration ---------------------------------------------------
 
-    def run(self, subgroup_words) -> tuple[str, np.ndarray, int]:
-        """Fill each subgroup word in turn, then define the first undefined
-        entry of the first live coset until none is left, emptying the
-        deduction stack after each word and each such definition.
+    def run(self, subgroup) -> tuple[str, np.ndarray, int]:
+        """Fix coset 0 under each subgroup generator in turn, then define the
+        first undefined entry of the first live coset until none is left,
+        emptying the deduction stack after each generator and each such
+        definition.
 
-        Each step scans a list of relator words from one coset a: the
-        rotations `edp[y]` for a deduction (a, y), popped or that of the
-        main loop's definition just made, or the subgroup word being
-        filled, from coset 0.  A scan runs forwards and backwards until it
-        meets a gap.  One that closes gives a coincidence, one with a single
-        gap a deduction.  A longer gap gives nothing, except in the word
-        being filled: there the entry at the gap is defined, its deduction
-        pushed, and the word is scanned again, with no deduction scanned in
-        between.  A definition first grows the buffers by a step when they
-        are full, or ends the run when they hold `max_cosets` rows; a
-        closed run trims them to the cosets defined."""
+        A generator j with 0·j undefined gets 0·j = 0 and the deduction
+        (0, j); one with 0·j = beta != 0 gives the coincidence of beta with
+        0.  Each other step scans the rotations `edp[y]` from one coset a,
+        for a deduction (a, y), popped or that of the main loop's definition
+        just made.  A scan runs forwards and backwards until it meets a gap.
+        One that closes gives a coincidence, one with a single gap a
+        deduction, a longer gap nothing.  A definition first grows the
+        buffers by a step when they are full, or ends the run when they hold
+        `max_cosets` rows; a closed run trims them to the cosets defined."""
         p, cols, rank = self.p, self.cols, self.rank
         ded_coset = self.ded_coset
         pop_coset, pop_gen = ded_coset.pop, self.ded_gen.pop
@@ -198,21 +194,25 @@ class _Enumerator:
         coincidence, grow = self._coincidence, self._grow
         # each rotation with the index of its last letter
         scans = [[(w, wc, len(w) - 1) for w, wc in row] for row in self.edp]
-        words = [w for w in reversed(subgroup_words) if w]
-        word = None  # the subgroup word being filled
+        gens = list(reversed(subgroup))  # J's generators still to treat, the next one last
         alpha = x = 0  # the next table entry the main loop looks at
         n = cap = len(p)  # cosets defined, and the rows allocated
         while True:
-            if word is not None:
-                a, y, rots = 0, word[0], ((word, self._columns(word), len(word) - 1),)
-            elif ded_coset:
+            if ded_coset:
                 a = pop_coset()
                 y = pop_gen()
                 if p[a] != a:
                     continue
                 rots = scans[y]
-            elif words:
-                word = words.pop()
+            elif gens:
+                y = gens.pop()
+                beta = cols[y][0]
+                if beta == -1:
+                    cols[y][0] = 0
+                    push_coset(0)
+                    push_gen(y)
+                elif beta:
+                    coincidence(beta, 0)
                 continue
             else:
                 while alpha < n:
@@ -287,24 +287,6 @@ class _Enumerator:
                     f0, i0 = cols[y][a], 1
                     if f0 == -1:
                         f0, i0 = a, 0
-            if word is None:
-                continue
-            # the word is the only rotation scanned, so f, i and j are its
-            # scan's: a gap of two or more letters is left when j > i
-            if j <= i:
-                word = None
-                continue
-            if n == cap:
-                cap = grow(n)
-                if n == cap:
-                    return EXCEEDED, np.empty((0, rank), dtype=np.int32), n
-            z = w[i]
-            col = cols[z]
-            col[f] = n
-            col[n] = f
-            push_coset(f)
-            push_gen(z)
-            n += 1
 
     def _grow(self, n: int) -> int:
         """Append rows n, n+1, ... to the columns, undefined, and to the
@@ -330,8 +312,9 @@ class _Enumerator:
         return table
 
 
-def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by `subgroup_words`.
+def coset_enumeration(pres: Presentation, subgroup=(), max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+    """Enumerate cosets of the parabolic subgroup <s_j : j in subgroup>, the
+    trivial subgroup by default.
 
     Returns a CosetTable with status `closed`, or `exceeded-limit` when more
     than `max_cosets` cosets would have to be defined (a reportable outcome,
@@ -339,14 +322,13 @@ def coset_enumeration(pres: Presentation, subgroup_words=(), max_cosets: int = D
     """
     if not isinstance(max_cosets, int) or max_cosets < 1:
         raise ValueError("max_cosets must be an integer >= 1")
-    words = tuple(tuple(w) for w in subgroup_words)
-    for w in words:
-        for g in w:
-            if not 0 <= g < pres.rank:
-                raise ValueError(f"generator index {g} out of range in subgroup word {w} "
-                                 f"(rank {pres.rank})")
-    status, table, defined = _Enumerator(pres, max_cosets).run(words)
-    return CosetTable(pres, words, table, status, defined)
+    subgroup = tuple(subgroup)
+    for j in subgroup:
+        if not (isinstance(j, int) and 0 <= j < pres.rank):
+            raise ValueError(f"subgroup generator {j!r} is no generator index "
+                             f"(rank {pres.rank})")
+    status, table, defined = _Enumerator(pres, max_cosets).run(subgroup)
+    return CosetTable(pres, subgroup, table, status, defined)
 
 
 def perm_rep(table: CosetTable):
@@ -394,7 +376,7 @@ def lift_from_parabolics(pres: Presentation, parabolics,
     cap = min(max_cosets, DEFAULT_ORDER_LIMIT)
     tables, bound, defined = [], cap + 1, 0
     for idx, f in parabolics:
-        table = coset_enumeration(pres, [(j,) for j in idx], max_cosets=cap)
+        table = coset_enumeration(pres, idx, max_cosets=cap)
         defined += table.cosets_defined
         if table.is_closed:
             tables.append(table)

@@ -564,7 +564,6 @@ class _Zuppos:
 
     def __init__(self, g: MarkedGroup, allowed: np.ndarray):
         orders = g.element_orders
-        self.sets: list[np.ndarray] = []
         self.gen_elem: list[int] = []
         self.of_elem = np.full(g.order, -1, dtype=np.int64)
         odd_pp = [o for o in np.unique(orders).tolist() if _is_odd_prime_power(o)]
@@ -580,8 +579,7 @@ class _Zuppos:
             ids.sort()
             if not allowed[ids].all():
                 continue
-            z = len(self.sets)
-            self.sets.append(ids)
+            z = len(self.gen_elem)
             self.gen_elem.append(e)
             gens_mask = orders[ids] == o
             self.of_elem[ids[gens_mask]] = z
@@ -660,12 +658,12 @@ def enumerate_subgroups_within(g: MarkedGroup, allowed: np.ndarray,
         if not odd_generated[cls]:
             continue
         # odd-zuppo joins, one per N(H)-orbit of zuppos
-        seen_orbit = np.zeros(len(zup.sets), dtype=bool)
+        seen_orbit = np.zeros(len(zup.gen_elem), dtype=bool)
         for z, e in enumerate(zup.gen_elem):
             if seen_orbit[z]:
                 continue
             seen_orbit[zup.of_elem[g.conj(e, N)]] = True
-            if in_H[zup.sets[z]].all():
+            if in_H[e]:  # <e> lies in the subgroup H exactly when e does
                 continue
             gens2 = h_gens + (e,)
             K = g.closure_ids(gens2)  # H = <h_gens>, so K = <H, e>

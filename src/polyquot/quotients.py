@@ -275,8 +275,7 @@ def is_semisparse_product_criterion(w: MarkedGroup, n: Subgroup) -> bool:
 
 @dataclass
 class QuotientRecord:
-    subgroup: Subgroup
-    class_size: int
+    subgroup_class: SubgroupClass  # N's conjugacy class, N its representative
     polytope: Polytope
     is_normal: bool
     is_regular: bool
@@ -286,8 +285,16 @@ class QuotientRecord:
     type_symbol: tuple[int, ...]
 
     @property
+    def subgroup(self) -> Subgroup:
+        return self.subgroup_class.rep
+
+    @property
+    def class_size(self) -> int:
+        return self.subgroup_class.size
+
+    @property
     def subgroup_order(self) -> int:
-        return self.subgroup.order
+        return self.subgroup_class.order
 
     def to_json(self) -> dict:
         return {
@@ -362,8 +369,7 @@ def classify_quotients(g: MarkedGroup, universal_name: str,
             names.append(dict(Counter(name for _, name, _ in faces)))
             sect_reg &= len({k for k, _, _ in faces}) == 1 and faces[0][2]
         records.append(QuotientRecord(
-            subgroup=cls.rep,
-            class_size=cls.size,
+            subgroup_class=cls,
             polytope=qp,
             is_normal=normal,
             is_regular=regular,
@@ -379,28 +385,25 @@ def quotient_lattice_dot(report: ClassificationReport, g: MarkedGroup) -> str:
     """DOT graph of the further-quotient relation between quotient classes.
 
     P/N2 is a further quotient of P/N1 when N1 is contained in a conjugate of
-    N2; edges are the covering pairs of that partial order.
+    N2; edges are the covering pairs of that partial order.  The conjugates
+    are the member rows of each record's class.
     """
     recs = report.records
     k = len(recs)
-    conj_sets: list[list[frozenset]] = []
-    for r in recs:
-        conj_sets.append([frozenset(int(x) for x in c.elem_ids)
-                          for c in conjugates(g, r.subgroup)])
+    reps = np.zeros((k, g.order), dtype=bool)
+    for i, r in enumerate(recs):
+        reps[i, r.subgroup.elem_ids] = True
+    orders = reps.sum(axis=1)
+    # le[i, j]: N_i lies in a member of class j, all of N_i's ids found there
     le = np.zeros((k, k), dtype=bool)
-    for i, r1 in enumerate(recs):
-        s1 = frozenset(int(x) for x in r1.subgroup.elem_ids)
-        for j, r2 in enumerate(recs):
-            le[i, j] = any(s1 <= c for c in conj_sets[j])
+    for j, r in enumerate(recs):
+        le[:, j] = (reps[:, r.subgroup_class.members].sum(axis=2) == orders[:, None]).any(axis=1)
+    strict = le & ~np.eye(k, dtype=bool)
+    cover = strict & ~(strict @ strict)  # no class strictly between
     lines = ["digraph quotients {", "  rankdir=BT;"]
     for i, r in enumerate(recs):
         label = f"N{i}: |N|={r.subgroup_order}" + (" regular" if r.is_regular else "")
         lines.append(f'  q{i} [label="{label}"];')
-    for i in range(k):
-        for j in range(k):
-            if i != j and le[i, j]:
-                # covering edge: no intermediate class
-                if not any(m != i and m != j and le[i, m] and le[m, j] for m in range(k)):
-                    lines.append(f"  q{i} -> q{j};")
+    lines.extend(f"  q{i} -> q{j};" for i, j in np.argwhere(cover))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -233,7 +233,7 @@ def test_facet_coset_path_checks_the_intersection_condition(monkeypatch, n, swap
     table = SimpleNamespace(status=coset.CLOSED, cosets_defined=n, n_cosets=n,
                             column=cols.__getitem__)
     monkeypatch.setattr(amalgam, "coset_enumeration",
-                        lambda pres, subgroup_words, max_cosets: table)
+                        lambda pres, subgroup, max_cosets: table)
     res = build_universal_over_facet(CaseSpec(0, "tetrahedron", "tetrahedron"), max_cosets=10)
     assert (res.outcome, res.intersection, res.order) == (outcome, intersection, n * 24)
     assert (res.facet_subgroup_order, res.vfig_subgroup_order) == (24, 24)
@@ -300,7 +300,7 @@ def test_stretch_table1_enumerates_only_case20_over_its_facet(monkeypatch):
     # exceeded case 20 leaves nothing to derive, so case 22 is exceeded too
     over_facet = []
 
-    def fake_enumeration(pres, subgroup_words=(), max_cosets=0):
+    def fake_enumeration(pres, subgroup=(), max_cosets=0):
         over_facet.append(pres)
         return SimpleNamespace(status=EXCEEDED, cosets_defined=0)
 
@@ -464,14 +464,14 @@ def _same_gens(g, h):
 
 
 def _enumerated_subgroups(monkeypatch):
-    """Record the subgroup words of every enumeration build_universal runs:
+    """Record the subgroup generators of every enumeration build_universal runs:
     the parabolics' in `lift_from_parabolics`, the trivial subgroup's here."""
     calls = []
     real = coset.coset_enumeration
 
-    def spy(pres, subgroup_words=(), **kwargs):
-        calls.append(tuple(subgroup_words))
-        return real(pres, subgroup_words, **kwargs)
+    def spy(pres, subgroup=(), **kwargs):
+        calls.append(tuple(subgroup))
+        return real(pres, subgroup, **kwargs)
 
     monkeypatch.setattr(coset, "coset_enumeration", spy)
     monkeypatch.setattr(amalgam, "coset_enumeration", spy)
@@ -505,7 +505,7 @@ def test_built_group_is_the_trivial_subgroup_table_on_catalog_pairs(monkeypatch)
 def test_lift_refuses_a_parabolic_with_a_core():
     # case 10's facet parabolic has a kernel of 8 on its 4 cosets
     spec = case_spec(10).amalgam()
-    table = coset_enumeration(amalgam_presentation(spec), [(0,), (1,), (2,)])
+    table = coset_enumeration(amalgam_presentation(spec), (0, 1, 2))
     assert table.n_cosets == 4
     cols = [table.column(x) for x in range(4)]
     assert regular_from_action(cols, table.n_cosets * spec.facet.expected_order) is None
@@ -514,7 +514,7 @@ def test_lift_refuses_a_parabolic_with_a_core():
 def test_lift_refuses_a_tuple_that_is_no_base(monkeypatch):
     # case 7 acts faithfully on its 11 facets, but one facet's orbit is 11 points
     spec = case_spec(7).amalgam()
-    table = coset_enumeration(amalgam_presentation(spec), [(0,), (1,), (2,)])
+    table = coset_enumeration(amalgam_presentation(spec), (0, 1, 2))
     cols = [table.column(x) for x in range(4)]
     assert regular_from_action(cols, 600) is None  # an orbit larger than `order`
     assert regular_from_action(cols, 660).order == 660
@@ -527,7 +527,7 @@ def test_short_orbit_falls_through_to_the_trivial_subgroup(monkeypatch):
     monkeypatch.setattr(permgroups, "_base_length", lambda d: 1)
     spec = case_spec(7).amalgam()
     res = build_universal(spec)
-    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()]
+    assert calls == [(0, 1, 2), (1, 2, 3), ()]
     assert res.outcome == EXISTS and res.cosets_defined == 11 + 11 + 660
     assert _same_gens(res.group, _trivial_subgroup_group(spec))
 
@@ -547,7 +547,7 @@ def test_lifted_cases_enumerate_no_trivial_subgroup(monkeypatch, case):
 def test_unlifted_cases_enumerate_the_trivial_subgroup(monkeypatch, case):
     calls = _enumerated_subgroups(monkeypatch)
     res = build_universal(case_spec(case).amalgam())
-    assert calls == [((0,), (1,), (2,)), ((1,), (2,), (3,)), ()] and res.group is not None
+    assert calls == [(0, 1, 2), (1, 2, 3), ()] and res.group is not None
 
 
 def test_case11_still_enumerates_the_trivial_subgroup(monkeypatch):
@@ -574,7 +574,7 @@ def test_case11_lifts_from_both_parabolics():
 def test_union_orbit_one_short_of_its_bound_is_refused():
     # case 11's union action on 4 + 4 cosets has an orbit of 96 tuples
     pres = amalgam_presentation(case_spec(11).amalgam())
-    tables = [coset_enumeration(pres, [(j,) for j in idx]) for idx in ((0, 1, 2), (1, 2, 3))]
+    tables = [coset_enumeration(pres, idx) for idx in ((0, 1, 2), (1, 2, 3))]
     union = _interleaved_union(tables)
     assert regular_from_action(union, 96).order == 96
     assert regular_from_action(union, 97) is None
@@ -584,8 +584,8 @@ def test_union_orbit_one_short_of_its_bound_is_refused():
 
 def test_interleaved_union_alternates_the_tables():
     pres = amalgam_presentation(case_spec(7).amalgam())
-    facets = coset_enumeration(pres, [(0,), (1,), (2,)])  # 11 cosets
-    trivial = coset_enumeration(pres, [(0,), (1,), (2,), (3,)])  # 1 coset
+    facets = coset_enumeration(pres, (0, 1, 2))  # 11 cosets
+    trivial = coset_enumeration(pres, (0, 1, 2, 3))  # 1 coset
     union = _interleaved_union([facets, trivial])
     # facet coset 0 is point 0, the one coset of the whole group point 1,
     # and facet coset i >= 1 point i + 1

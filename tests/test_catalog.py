@@ -45,9 +45,9 @@ def test_realized_group_enumerates_the_trivial_subgroup_only_when_the_lift_fails
     calls = []
     real = catalog.coset_enumeration
 
-    def spy(pres, subgroup_words=(), **kwargs):
-        calls.append(tuple(subgroup_words))
-        return real(pres, subgroup_words, **kwargs)
+    def spy(pres, subgroup=(), **kwargs):
+        calls.append(tuple(subgroup))
+        return real(pres, subgroup, **kwargs)
 
     monkeypatch.setattr(catalog, "coset_enumeration", spy)
     monkeypatch.setattr(catalog, "_GROUPS", {})

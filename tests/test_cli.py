@@ -397,7 +397,7 @@ def test_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
     from polyquot import amalgam, coset
     from polyquot.coset import CLOSED, CosetTable
 
-    def two_swapped_cosets(pres, subgroup_words=(), max_cosets=None):
+    def two_swapped_cosets(pres, subgroup=(), max_cosets=None):
         # breaks the odd-length Petrie relator of the hemicross vertex figure
         rows = np.array([[1] * pres.rank, [0] * pres.rank], dtype=np.int32)
         return CosetTable(pres, (), rows, CLOSED, 2)
@@ -418,11 +418,11 @@ def test_lifted_relator_mismatch_is_a_verification_failure(capsys, monkeypatch):
     # groups of order 60 each), lift to case 7's group of order 660 = 11 * 60,
     # which breaks the relator (s1 s2)^2: s1 s2 has order 5 there
     case7 = amalgam.case_spec(7).amalgam()
-    facets = coset.coset_enumeration(amalgam.amalgam_presentation(case7), [(0,), (1,), (2,)])
+    facets = coset.coset_enumeration(amalgam.amalgam_presentation(case7), (0, 1, 2))
     rows = facets.table.copy()
 
-    def case7_facets(pres, subgroup_words=(), max_cosets=None):
-        return CosetTable(pres, tuple(subgroup_words), rows, CLOSED, len(rows))
+    def case7_facets(pres, subgroup=(), max_cosets=None):
+        return CosetTable(pres, tuple(subgroup), rows, CLOSED, len(rows))
 
     monkeypatch.setattr(coset, "coset_enumeration", case7_facets)
     code, _, err = run(capsys, "build", "--facet", "dihedron(15)", "--vfig", "hosohedron(15)")

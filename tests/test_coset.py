@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,16 +82,17 @@ def test_buffers_end_at_the_cosets_defined(pres, max_cosets, status):
     assert [len(col) for col in e.cols] == [max_cosets] * pres.rank
 
 
-@pytest.mark.parametrize("word", [(-1,), (3,)])
+@pytest.mark.parametrize("word", [(-1,), (3,), ((0, 1),)])
 def test_subgroup_word_letters_are_checked(word):
-    # rank 3: -1 would index the last column, 3 no column at all
-    with pytest.raises(ValueError, match=rf"generator index {word[0]} .* \(rank 3\)"):
-        coset_enumeration(cox(4, 3), subgroup_words=[(0,), word])
+    # rank 3: -1 would index the last column, 3 no column at all, and a
+    # word (0, 1) given the old way is no generator index
+    with pytest.raises(ValueError, match=rf"subgroup generator {re.escape(repr(word[0]))} .* \(rank 3\)"):
+        coset_enumeration(cox(4, 3), (0, *word))
 
 
 def test_subgroup_enumeration_counts_faces():
     # cosets of <s0,s1> in the cube group = the 6 squares
-    table = coset_enumeration(cox(4, 3), subgroup_words=[(0,), (1,)])
+    table = coset_enumeration(cox(4, 3), (0, 1))
     assert table.n_cosets == 6
 
 
@@ -132,10 +134,8 @@ def test_order_matches_word_closure(symbol):
 @settings(max_examples=40, deadline=None)
 def test_closed_table_invariants(symbol, data):
     pres = cox(*symbol)
-    nwords = data.draw(st.integers(0, 2))
-    words = [tuple(data.draw(st.integers(0, 2)) for _ in range(data.draw(st.integers(1, 4))))
-             for _ in range(nwords)]
-    table = coset_enumeration(pres, subgroup_words=words)
+    subgroup = data.draw(st.lists(st.integers(0, 2), max_size=4))
+    table = coset_enumeration(pres, subgroup)
     assert table.status == CLOSED
     n = table.n_cosets
     idx = np.arange(n)
@@ -151,8 +151,8 @@ def test_closed_table_invariants(symbol, data):
             img = table.column(x)[img]
         assert np.array_equal(img, idx)
     # coset count x subgroup order = group order
-    total = coset_enumeration(pres).n_cosets
-    assert total % n == 0
+    g = perm_rep(coset_enumeration(pres))
+    assert n * g.parabolic(subgroup).order == g.order
 
 
 @given(st.sampled_from(FINITE_SYMBOLS))
@@ -184,19 +184,21 @@ def test_coincidence_at_a_dead_coset_keeps_its_deduction(entries, extra, order):
     assert perm_rep(_assert_matches_reference(pres)).order == order
 
 
-def _assert_matches_reference(pres, words=(), max_cosets=coset.DEFAULT_MAX_COSETS):
+def _assert_matches_reference(pres, subgroup=(), max_cosets=coset.DEFAULT_MAX_COSETS):
     """The enumeration's status, cosets defined and closed table are the
     reference's, and so are its live cosets and their rows as numbered, which
-    is the whole state when the budget cuts the run and the table is open."""
-    words = tuple(map(tuple, words))
+    is the whole state when the budget cuts the run and the table is open.
+    The reference fills general subgroup words; the parabolic <s_j : j in J>
+    is the words (j,)."""
+    subgroup = tuple(subgroup)
     ours, ref = coset._Enumerator(pres, max_cosets), ReferenceEnumerator(pres, max_cosets)
-    status, table, defined = ours.run(words)
-    assert (status, table.tolist(), defined) == ref.run(words)
+    status, table, defined = ours.run(subgroup)
+    assert (status, table.tolist(), defined) == ref.run([(j,) for j in subgroup])
     assert len(ours.p) == len(ref.p) == defined
     live = [a for a in range(defined) if ref.p[a] == a]
     assert [a for a in range(defined) if ours.p[a] == a] == live
     assert [[col[a] for col in ours.cols] for a in live] == [ref.table[a] for a in live]
-    return CosetTable(pres, words, table, status, defined)
+    return CosetTable(pres, subgroup, table, status, defined)
 
 
 # cosets each closed Table 1 enumeration defines, dead ones included, as the
@@ -220,9 +222,8 @@ def test_finite_symbols_against_reference_enumerator(symbol, data):
     # a Coxeter relator reversed is one of its own rotations; a Petrie
     # relator's reverse is not, so it needs the reversed rotations in `edp`
     petrie = data.draw(st.sampled_from([(), (petrie_relator(3),), (petrie_relator(5),)]))
-    words = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5)
-                               .map(tuple), max_size=3))
-    _assert_matches_reference(cox(*symbol).with_relators(petrie), words)
+    subgroup = data.draw(st.lists(st.integers(0, 2), max_size=4))
+    _assert_matches_reference(cox(*symbol).with_relators(petrie), subgroup)
 
 
 @st.composite
@@ -233,8 +234,8 @@ def _coxeter_plus_relator(draw):
     entries = tuple(draw(st.integers(2, 6)) for _ in range(rank - 1))
     extra = tuple(draw(st.lists(st.integers(0, rank - 1), min_size=3, max_size=8)))
     drop = draw(st.sampled_from([None, *range(rank)]))
-    words = () if drop is None else tuple((j,) for j in range(rank) if j != drop)
-    return entries, extra, words
+    subgroup = () if drop is None else tuple(j for j in range(rank) if j != drop)
+    return entries, extra, subgroup
 
 
 @given(_coxeter_plus_relator(), st.integers(1, 3000))
@@ -244,12 +245,12 @@ def _coxeter_plus_relator(draw):
 # table of <s1>'s cosets
 @example(((4, 3), (2, 0, 1, 1, 2, 2, 0, 0), ()), 3000)
 @example(((5, 3), (0, 2, 2, 2, 0, 0, 1, 1), ()), 3000)
-@example(((5, 4, 4), (3, 0, 3, 3, 2, 1), ((1,),)), 3000)
+@example(((5, 4, 4), (3, 0, 3, 3, 2, 1), (1,)), 3000)
 def test_coxeter_plus_relator_against_reference_enumerator(case, max_cosets):
     # a budget anywhere up to 3000 cuts the run at any place relative to
     # the steps in which the table grows
-    entries, extra, words = case
-    _assert_matches_reference(cox(*entries).with_relators([extra]), words, max_cosets=max_cosets)
+    entries, extra, subgroup = case
+    _assert_matches_reference(cox(*entries).with_relators([extra]), subgroup, max_cosets=max_cosets)
 
 
 def _assert_edp_is_every_rotation(pres):
@@ -275,12 +276,12 @@ def test_rotations_of_any_relators(rels):
     _assert_edp_is_every_rotation(Presentation(3, tuple(rels)))
 
 
-CASE20_FACET_WORDS = [(0,), (1,), (2,)]
+CASE20_FACET = (0, 1, 2)
 
 
 def test_case20_prefix_against_reference_enumerator():
     table = _assert_matches_reference(amalgam_presentation(case_spec(20).amalgam()),
-                                      CASE20_FACET_WORDS, max_cosets=20_000)
+                                      CASE20_FACET, max_cosets=20_000)
     assert (table.status, table.cosets_defined) == (EXCEEDED, 20_000)
 
 
@@ -290,7 +291,7 @@ def test_case20_stretch_prefix_state():
     # (native int32) at the 200,000-coset cut
     pres = amalgam_presentation(case_spec(20).amalgam())
     ours = coset._Enumerator(pres, 200_000)
-    status, _, defined = ours.run(CASE20_FACET_WORDS)
+    status, _, defined = ours.run(CASE20_FACET)
     assert (status, defined) == (EXCEEDED, 200_000)
     assert sum(ours.p[a] == a for a in range(defined)) == 199_925
     digest = hashlib.sha256(b"".join(bytes(a) for a in (ours.p, *ours.cols))).hexdigest()
@@ -303,7 +304,7 @@ def test_table_memory_per_coset():
     pres = amalgam_presentation(case_spec(20).amalgam())
     tracemalloc.start()
     try:
-        table = coset_enumeration(pres, CASE20_FACET_WORDS, max_cosets=10_000)
+        table = coset_enumeration(pres, CASE20_FACET, max_cosets=10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
